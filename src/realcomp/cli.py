@@ -164,8 +164,11 @@ def _algorithm(spec) -> DiscreteProbAlgorithm:
     return DiscreteProbAlgorithm(tuple(branches))
 
 
-def _bool(value: bool) -> str:
-    return "true" if value else "false"
+def _no_convergence(steps_taken: int, all_infinite: bool) -> int:
+    """Print the no-convergence status line; returns exit code 1."""
+    flag = "true" if all_infinite else "false"
+    print(f"status=no-convergence steps={steps_taken} all_infinite={flag}")
+    return 1
 
 
 def run_command(args) -> int:
@@ -185,21 +188,13 @@ def run_command(args) -> int:
         if isinstance(outcome, Converged):
             print(f"r={outcome.value} eps={outcome.accuracy}")
             return 0
-        print(
-            f"status=no-convergence steps={outcome.steps_taken} "
-            f"all_infinite={_bool(outcome.all_infinite)}"
-        )
-        return 1
+        return _no_convergence(outcome.steps_taken, outcome.all_infinite)
 
     if args.command == "domain":
         machine, oracles = _expr_machine(spec, args)
         result = domain_neighborhood(machine, oracles, args.fuel)
         if isinstance(result, NoConvergence):
-            print(
-                f"status=no-convergence steps={result.steps_taken} "
-                f"all_infinite={_bool(result.all_infinite)}"
-            )
-            return 1
+            return _no_convergence(result.steps_taken, result.all_infinite)
         for k, interval in enumerate(result):
             print(f"arg={k} lo={interval.lo} hi={interval.hi}")
         return 0
@@ -284,11 +279,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NoConvergenceError as exc:
-        print(
-            f"status=no-convergence steps={exc.steps_taken} "
-            f"all_infinite={_bool(exc.all_infinite)}"
-        )
-        return 1
+        return _no_convergence(exc.steps_taken, exc.all_infinite)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -8,9 +8,8 @@ bound, or ``INF`` when nothing can be certified from the query alone.
 
 Soundness contract: whenever the answer to a query is ``(r, eps)`` with
 ``eps`` finite, every input vector consistent with the query (each
-component within its tolerance of its approximation, and inside the
-machine's declared domain if any) has its true function value within
-``eps`` of ``r``.
+component within its tolerance of its approximation) at which the
+function is defined has its true function value within ``eps`` of ``r``.
 
 Refinement drives a machine along the canonical tolerance schedule
 ``2^-n`` until the answer accuracy meets a target.  Divergence can only
@@ -22,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .rational import INF, Accuracy, Interval, as_fraction, is_finite
 
@@ -49,7 +48,6 @@ __all__ = [
     "min_machine",
     "max_machine",
     "chi_pos",
-    "lift_arith",
     "compose",
     "ModulusMachine",
     "modulus_to_machine",
@@ -98,11 +96,6 @@ class Answer:
             object.__setattr__(self, "accuracy", acc)
 
 
-# Per-argument (lower, upper) bounds, exclusive, None meaning unbounded.
-# Only consulted by soundness-sampling harnesses when drawing test points.
-DomainBounds = tuple
-
-
 @dataclass(frozen=True)
 class IntervalMachine:
     """A pure total transition from queries of a fixed arity to answers."""
@@ -110,7 +103,6 @@ class IntervalMachine:
     arity: int
     transition: Callable[[Query], Answer]
     name: str = "machine"
-    domain: Optional[DomainBounds] = None
 
     def __repr__(self):
         return f"<machine {self.name}/{self.arity}>"
@@ -350,30 +342,7 @@ def chi_pos() -> IntervalMachine:
             return Answer(Fraction(1), tol)
         return Answer(Fraction(1), INF)
 
-    return IntervalMachine(1, transition, name="chi_pos", domain=((Fraction(0), None),))
-
-
-def lift_arith(op: str, value=None, arity: int = 1) -> IntervalMachine:
-    """Catalog constructor by operation name.
-
-    op is one of "add", "sub", "mul", "neg", "min", "max", "const";
-    "const" also takes the constant value and the machine arity.
-    """
-    if op == "const":
-        if value is None:
-            raise ValueError("const requires a value")
-        return const_machine(value, arity)
-    table = {
-        "add": add_machine,
-        "sub": sub_machine,
-        "mul": mul_machine,
-        "neg": neg_machine,
-        "min": min_machine,
-        "max": max_machine,
-    }
-    if op not in table:
-        raise ValueError(f"unknown operation {op!r}")
-    return table[op]()
+    return IntervalMachine(1, transition, name="chi_pos")
 
 
 def compose(outer: IntervalMachine, inners: Sequence[IntervalMachine]) -> IntervalMachine:

@@ -6,7 +6,9 @@ applied to oracles yield new oracles, so computed reals compose.
 
 Real expressions are a small AST (constants, argument variables, exact
 arithmetic, min/max, and the strict-positivity test) that compiles to
-interval-query machines.  Subtrees with literal rational operands fold
+interval-query machines.  Each operator is defined once, as a class that
+carries its spec symbol, exact rule and machine constructor; parsing,
+printing, evaluation and compilation all read that table.  Subtrees with literal rational operands fold
 into exact shift/scale primitives, so e.g. "x + 1" compiles to the
 machine answering (q + 1, tol) rather than a looser composition
 through a constant machine.
@@ -14,8 +16,10 @@ through a constant machine.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable, Sequence
 
 from .machine import (
@@ -142,48 +146,116 @@ class Var(RealExpr):
             raise ValueError(f"variable index must be >= 0, got {self.index}")
 
 
-@dataclass(frozen=True)
-class Add(RealExpr):
-    left: RealExpr
-    right: RealExpr
+class Undefined(Exception):
+    """Exact evaluation hit a point where the expression has no value."""
+
+
+class _Operator(RealExpr):
+    """An operator node.  Each concrete class is one entry of the operator
+    table: `symbol` is its spec-language head, `exact` its rule on exact
+    rationals, `machine` the catalog constructor it compiles to, and the
+    dataclass fields are its children.  `fold(c, literal_left, inner,
+    arity)`, if set, compiles an application with one literal operand c
+    (inner being the compiled other operand) to an exact primitive.
+    A `partial` operator is never folded on literal operands: where its
+    exact rule is undefined the machine must diverge, not fail to compile.
+    """
+
+    fold = None
+    partial = False
 
 
 @dataclass(frozen=True)
-class Sub(RealExpr):
-    left: RealExpr
-    right: RealExpr
-
-
-@dataclass(frozen=True)
-class Mul(RealExpr):
-    left: RealExpr
-    right: RealExpr
-
-
-@dataclass(frozen=True)
-class Min(RealExpr):
-    left: RealExpr
-    right: RealExpr
-
-
-@dataclass(frozen=True)
-class Max(RealExpr):
-    left: RealExpr
-    right: RealExpr
-
-
-@dataclass(frozen=True)
-class Neg(RealExpr):
+class _Unary(_Operator):
     operand: RealExpr
 
+    @property
+    def children(self) -> tuple:
+        return (self.operand,)
+
 
 @dataclass(frozen=True)
-class ChiPos(RealExpr):
-    operand: RealExpr
+class _Binary(_Operator):
+    left: RealExpr
+    right: RealExpr
+
+    @property
+    def children(self) -> tuple:
+        return (self.left, self.right)
 
 
-_BINARY = {Add: add_machine, Sub: sub_machine, Mul: mul_machine,
-           Min: min_machine, Max: max_machine}
+def _shift_fold(c, literal_left, inner, arity):
+    return compose(shift_machine(c), [inner])
+
+
+def _sub_fold(c, literal_left, inner, arity):
+    if literal_left:  # c - x: a shift of the negation
+        return compose(compose(shift_machine(c), [neg_machine()]), [inner])
+    return compose(shift_machine(-c), [inner])
+
+
+def _scale_fold(c, literal_left, inner, arity):
+    if c == 0:
+        return const_machine(0, arity)
+    return compose(scale_machine(c), [inner])
+
+
+def _chi_pos_exact(a: Fraction) -> Fraction:
+    if a > 0:
+        return Fraction(1)
+    raise Undefined("chi-pos argument is not strictly positive")
+
+
+class Add(_Binary):
+    symbol = "add"
+    exact = staticmethod(operator.add)
+    machine = staticmethod(add_machine)
+    fold = staticmethod(_shift_fold)
+
+
+class Sub(_Binary):
+    symbol = "sub"
+    exact = staticmethod(operator.sub)
+    machine = staticmethod(sub_machine)
+    fold = staticmethod(_sub_fold)
+
+
+class Mul(_Binary):
+    symbol = "mul"
+    exact = staticmethod(operator.mul)
+    machine = staticmethod(mul_machine)
+    fold = staticmethod(_scale_fold)
+
+
+class Min(_Binary):
+    symbol = "min"
+    exact = staticmethod(min)
+    machine = staticmethod(min_machine)
+
+
+class Max(_Binary):
+    symbol = "max"
+    exact = staticmethod(max)
+    machine = staticmethod(max_machine)
+
+
+class Neg(_Unary):
+    symbol = "neg"
+    exact = staticmethod(operator.neg)
+    machine = staticmethod(neg_machine)
+
+
+class ChiPos(_Unary):
+    symbol = "chi-pos"
+    exact = staticmethod(_chi_pos_exact)
+    machine = staticmethod(chi_pos)
+    partial = True
+
+
+# The operator table.  The recursive walks below pass children through
+# map() rather than a comprehension so that each level of nesting costs a
+# single Python frame.
+_OPERATORS = (Add, Sub, Mul, Min, Max, Neg, ChiPos)
 
 
 def expr_arity(expr: RealExpr) -> int:
@@ -192,13 +264,7 @@ def expr_arity(expr: RealExpr) -> int:
         return expr.index + 1
     if isinstance(expr, Const):
         return 1
-    if isinstance(expr, (Neg, ChiPos)):
-        return expr_arity(expr.operand)
-    return max(expr_arity(expr.left), expr_arity(expr.right))
-
-
-class Undefined(Exception):
-    """Exact evaluation hit a point where the expression has no value."""
+    return max(1, *map(expr_arity, expr.children))
 
 
 def eval_expr(expr: RealExpr, xs: Sequence[Fraction]) -> Fraction:
@@ -207,25 +273,7 @@ def eval_expr(expr: RealExpr, xs: Sequence[Fraction]) -> Fraction:
         return expr.value
     if isinstance(expr, Var):
         return as_fraction(xs[expr.index])
-    if isinstance(expr, Neg):
-        return -eval_expr(expr.operand, xs)
-    if isinstance(expr, ChiPos):
-        if eval_expr(expr.operand, xs) > 0:
-            return Fraction(1)
-        raise Undefined("chi-pos argument is not strictly positive")
-    a = eval_expr(expr.left, xs)
-    b = eval_expr(expr.right, xs)
-    if isinstance(expr, Add):
-        return a + b
-    if isinstance(expr, Sub):
-        return a - b
-    if isinstance(expr, Mul):
-        return a * b
-    if isinstance(expr, Min):
-        return min(a, b)
-    if isinstance(expr, Max):
-        return max(a, b)
-    raise TypeError(f"not a real expression: {expr!r}")
+    return expr.exact(*map(eval_expr, expr.children, repeat(xs)))
 
 
 def expr_to_machine(expr: RealExpr, arity: int) -> IntervalMachine:
@@ -246,31 +294,11 @@ def _compile(expr: RealExpr, arity: int) -> IntervalMachine:
         return const_machine(expr.value, arity)
     if isinstance(expr, Var):
         return proj(expr.index, arity)
-    if isinstance(expr, Neg):
-        if isinstance(expr.operand, Const):
-            return const_machine(-expr.operand.value, arity)
-        return compose(neg_machine(), [_compile(expr.operand, arity)])
-    if isinstance(expr, ChiPos):
-        return compose(chi_pos(), [_compile(expr.operand, arity)])
-    if type(expr) in _BINARY:
-        left, right = expr.left, expr.right
-        lc, rc = isinstance(left, Const), isinstance(right, Const)
-        if lc and rc:
-            return const_machine(eval_expr(expr, ()), arity)
-        # fold a literal operand of +,-,* into an exact affine primitive
-        if isinstance(expr, Add) and (lc or rc):
-            c, other = (left.value, right) if lc else (right.value, left)
-            return compose(shift_machine(c), [_compile(other, arity)])
-        if isinstance(expr, Sub) and rc:
-            return compose(shift_machine(-right.value), [_compile(left, arity)])
-        if isinstance(expr, Sub) and lc:
-            negated = compose(neg_machine(), [_compile(right, arity)])
-            return compose(shift_machine(left.value), [negated])
-        if isinstance(expr, Mul) and (lc or rc):
-            c, other = (left.value, right) if lc else (right.value, left)
-            if c == 0:
-                return const_machine(0, arity)
-            return compose(scale_machine(c), [_compile(other, arity)])
-        outer = _BINARY[type(expr)]()
-        return compose(outer, [_compile(left, arity), _compile(right, arity)])
-    raise TypeError(f"not a real expression: {expr!r}")
+    kids = expr.children
+    lc, rc = isinstance(kids[0], Const), isinstance(kids[-1], Const)
+    if lc and rc and not expr.partial:
+        return const_machine(expr.exact(*[kid.value for kid in kids]), arity)
+    if (lc or rc) and expr.fold is not None:
+        c, other = (kids[0].value, kids[1]) if lc else (kids[1].value, kids[0])
+        return expr.fold(c, lc, _compile(other, arity), arity)
+    return compose(expr.machine(), list(map(_compile, kids, repeat(arity))))

@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Union
 
 __all__ = [
-    "Rational",
     "rat",
     "as_fraction",
     "INF",
@@ -26,10 +25,6 @@ __all__ = [
     "parse_accuracy",
     "format_rational",
 ]
-
-# Arbitrary-precision rational in canonical form: positive denominator,
-# gcd(|numerator|, denominator) = 1.  fractions.Fraction guarantees both.
-Rational = Fraction
 
 
 def rat(numerator: int, denominator: int = 1) -> Fraction:
@@ -140,6 +135,10 @@ def interval_of(center, radius) -> Interval:
 
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 _DYADIC_RE = re.compile(r"^2\^-(\d+)$")
+# Largest k accepted in the "2^-k" shorthand.  Meeting 2^-65536 already
+# takes tens of thousands of refinement steps; a larger k mostly costs the
+# construction of a huge integer.
+_MAX_DYADIC_EXPONENT = 65536
 
 
 def parse_rational(text: str) -> Fraction:
@@ -164,7 +163,10 @@ def parse_accuracy(text: str) -> Fraction:
     text = text.strip()
     m = _DYADIC_RE.match(text)
     if m:
-        value = Fraction(1, 2 ** int(m.group(1)))
+        k = int(m.group(1))
+        if k > _MAX_DYADIC_EXPONENT:
+            raise ValueError(f"accuracy 2^-k needs k <= {_MAX_DYADIC_EXPONENT}")
+        value = Fraction(1, 1 << k)
     else:
         value = parse_rational(text)
     if value <= 0:

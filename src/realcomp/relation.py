@@ -180,6 +180,13 @@ class WitnessList:
     skipped: tuple  # indices that FAILed or did not converge
 
 
+def _window(rel: RealEnumRel, max_index: int) -> range:
+    """Indices 0..max_index, clipped to a finite index set."""
+    if max_index < 0:
+        raise ValueError(f"max_index must be >= 0, got {max_index}")
+    return range(rel.omega.clip(max_index) + 1)
+
+
 def enumerate_witnesses(
     rel: RealEnumRel,
     x: RealOracle,
@@ -188,11 +195,9 @@ def enumerate_witnesses(
     fuel: int,
 ) -> WitnessList:
     """Witnesses for indices 0..max_index (clipped to a finite index set)."""
-    if max_index < 0:
-        raise ValueError(f"max_index must be >= 0, got {max_index}")
     entries = []
     skipped = []
-    for i in range(rel.omega.clip(max_index) + 1):
+    for i in _window(rel, max_index):
         result = witness(rel, x, i, accuracy, fuel)
         if isinstance(result, WitnessEntry):
             entries.append(result)
@@ -221,9 +226,10 @@ def member_semi(
     accuracy = as_fraction(accuracy)
     if accuracy <= 0:
         raise ValueError(f"accuracy must be positive, got {accuracy}")
+    indices = _window(rel, max_index)
     quarter = accuracy / 4
     y_approx = y(quarter)
-    for i in range(rel.omega.clip(max_index) + 1):
+    for i in indices:
         result = witness(rel, x, i, quarter, fuel)
         if isinstance(result, WitnessEntry):
             if abs(result.value - y_approx) <= accuracy / 2:

@@ -12,28 +12,16 @@ Atoms are symbols and decimal integers.  Heads:
 
 A bare expression form denotes a machine; its arity is one more than the
 largest variable index (at least one).  Relation and probability
-branches must be one-argument expressions.
+branches must be one-argument expressions.  Lists nest at most 512 deep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .oracle import (
-    Add,
-    ChiPos,
-    Const,
-    Max,
-    Min,
-    Mul,
-    Neg,
-    RealExpr,
-    Sub,
-    Var,
-    expr_arity,
-)
+from .oracle import _OPERATORS, Const, RealExpr, Var, expr_arity
 
 __all__ = [
     "ParseError",
@@ -111,12 +99,20 @@ class _Node:
         return self.items is not None
 
 
-def _read(tokens: Sequence[_Token], pos: int) -> tuple:
+# Deepest list nesting a specification may have.  Every pass over the
+# tree (reading, building, arity, compiling, answering queries) recurses
+# once per level, so the cap keeps them all inside Python's recursion limit.
+_MAX_DEPTH = 512
+
+
+def _read(tokens: Sequence[_Token], pos: int, depth: int = 1) -> tuple:
     if pos >= len(tokens):
         last = tokens[-1] if tokens else _Token("", "", 1, 1)
         raise ParseError("unexpected end of input", last.line, last.col)
     tok = tokens[pos]
     if tok.kind == "(":
+        if depth > _MAX_DEPTH:
+            raise ParseError(f"nesting deeper than {_MAX_DEPTH}", tok.line, tok.col)
         items = []
         pos += 1
         while True:
@@ -124,7 +120,7 @@ def _read(tokens: Sequence[_Token], pos: int) -> tuple:
                 raise ParseError("unclosed '('", tok.line, tok.col)
             if tokens[pos].kind == ")":
                 return _Node(tuple(items), tok), pos + 1
-            node, pos = _read(tokens, pos)
+            node, pos = _read(tokens, pos, depth + 1)
             items.append(node)
     if tok.kind == ")":
         raise ParseError("unexpected ')'", tok.line, tok.col)
@@ -141,8 +137,8 @@ def _want_int(node: _Node, what: str) -> int:
     return int(node.token.text)
 
 
-_UNARY = {"neg": Neg, "chi-pos": ChiPos}
-_BINARY = {"add": Add, "sub": Sub, "mul": Mul, "min": Min, "max": Max}
+# spec head -> (operator class, number of operands)
+_OPERATOR_BY_SYMBOL = {op.symbol: (op, len(fields(op))) for op in _OPERATORS}
 
 
 def _build_expr(node: _Node) -> RealExpr:
@@ -170,15 +166,12 @@ def _build_expr(node: _Node) -> RealExpr:
         if index < 0:
             _err(args[0], "var index must be >= 0")
         return Var(index)
-    if name in _UNARY:
-        if len(args) != 1:
-            _err(node, f"{name} takes one argument")
-        return _UNARY[name](_build_expr(args[0]))
-    if name in _BINARY:
-        if len(args) != 2:
-            _err(node, f"{name} takes two arguments")
-        return _BINARY[name](_build_expr(args[0]), _build_expr(args[1]))
-    _err(head, f"unknown head symbol {name!r}")
+    if name not in _OPERATOR_BY_SYMBOL:
+        _err(head, f"unknown head symbol {name!r}")
+    op, takes = _OPERATOR_BY_SYMBOL[name]
+    if len(args) != takes:
+        _err(node, f"{name} takes {('one argument', 'two arguments')[takes - 1]}")
+    return op(*map(_build_expr, args))
 
 
 def _build_branch_expr(node: _Node) -> RealExpr:
@@ -273,13 +266,7 @@ def format_expr(expr: RealExpr) -> str:
         return f"(rat {expr.value.numerator} {expr.value.denominator})"
     if isinstance(expr, Var):
         return f"(var {expr.index})"
-    if isinstance(expr, Neg):
-        return f"(neg {format_expr(expr.operand)})"
-    if isinstance(expr, ChiPos):
-        return f"(chi-pos {format_expr(expr.operand)})"
-    names = {Add: "add", Sub: "sub", Mul: "mul", Min: "min", Max: "max"}
-    name = names[type(expr)]
-    return f"({name} {format_expr(expr.left)} {format_expr(expr.right)})"
+    return f"({' '.join([expr.symbol, *map(format_expr, expr.children)])})"
 
 
 def format_spec(ast: SpecAst) -> str:

@@ -1,8 +1,10 @@
-"""Shared helpers: seeded rational sampling and the soundness harness."""
+"""Shared helpers: seeded rational and expression sampling, and the
+soundness harness."""
 
 from __future__ import annotations
 
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 from realcomp import (
@@ -14,11 +16,13 @@ from realcomp import (
     Neg,
     Query,
     Sub,
+    Undefined,
     Var,
     apply,
     eval_expr,
     is_finite,
 )
+from realcomp.oracle import _OPERATORS
 
 # Machines with exact rational reference functions, as (name, expression)
 # pairs; compiled machines must satisfy the soundness inequality against
@@ -61,24 +65,25 @@ def point_in_box(rng: random.Random, query: Query) -> list:
     ]
 
 
-def in_declared_domain(machine, xs) -> bool:
-    """Whether a point respects the machine's declared (exclusive) bounds."""
-    if machine.domain is None:
-        return True
-    for x, (lo, hi) in zip(xs, machine.domain):
-        if lo is not None and not x > lo:
-            return False
-        if hi is not None and not x < hi:
-            return False
-    return True
+def random_expr(rng: random.Random, depth: int, arity: int = 1):
+    """A random expression over both leaf kinds and every table operator."""
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.4:
+            return Const(rand_fraction(rng, 6, 6))
+        return Var(rng.randrange(arity))
+    op = rng.choice(_OPERATORS)
+    return op(*[random_expr(rng, depth - 1, arity) for _ in fields(op)])
 
 
-def soundness_violations(machine, expr, rng: random.Random, samples: int) -> int:
+def soundness_violations(machine, expr, rng: random.Random, samples: int,
+                         skip_undefined: bool = False) -> int:
     """Count query/point pairs violating the soundness inequality.
 
-    The reference value is the exact rational evaluation of `expr`; only
-    points inside the machine's declared domain count.  The check is
-    exact, so the expected count is always zero.
+    The reference value is the exact rational evaluation of `expr`.  A
+    finite answer covering a point where `expr` is undefined claims a
+    value that does not exist, and counts as a violation unless
+    `skip_undefined` restricts the check to the points where `expr` has a
+    value.  The check is exact, so the expected count is always zero.
     """
     violations = 0
     for _ in range(samples):
@@ -87,8 +92,11 @@ def soundness_violations(machine, expr, rng: random.Random, samples: int) -> int
         if not is_finite(answer.accuracy):
             continue
         xs = point_in_box(rng, query)
-        if not in_declared_domain(machine, xs):
+        try:
+            value = eval_expr(expr, xs)
+        except Undefined:
+            violations += not skip_undefined
             continue
-        if abs(eval_expr(expr, xs) - answer.value) > answer.accuracy:
+        if abs(value - answer.value) > answer.accuracy:
             violations += 1
     return violations

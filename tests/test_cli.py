@@ -119,6 +119,9 @@ def test_member_command_exit_codes(capsys, spec_file):
     assert (code, out) == (0, "found=true index=1\n")
     code, out, _ = run_cli(capsys, base + ["--y", "1/2"])
     assert (code, out) == (1, "found=false searched=6\n")
+    # a negative window is a usage error, as it is for enumerate
+    negative = base[:-1] + ["-1", "--y", "1"]
+    assert run_cli(capsys, negative) == (2, "", "error: max_index must be >= 0, got -1\n")
 
 
 def test_sample_and_freq_are_seed_deterministic(capsys, spec_file):
@@ -157,12 +160,53 @@ def test_parse_errors_exit_2(capsys, spec_file):
     assert "unclosed" in err
 
 
+def nested(depth, op="neg"):
+    """A spec nesting `depth` lists: depth - 1 applications over (var 0)."""
+    if op == "neg":
+        return "(neg " * (depth - 1) + "(var 0)" + ")" * (depth - 1)
+    # c - x folds to two catalog machines, the deepest compiled chain
+    return "(sub (rat 1 1) " * (depth - 1) + "(var 0)" + ")" * (depth - 1)
+
+
+def test_nesting_past_the_cap_exits_2_without_a_traceback(spec_file):
+    path = spec_file(nested(3000))
+    result = subprocess.run(
+        [sys.executable, "-m", "realcomp", "eval", "--spec", path,
+         "--x", "1", "--accuracy", "1/4"],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: line 1, col ")
+    assert "nesting deeper than 512" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_nesting_up_to_the_cap_evaluates(capsys, spec_file):
+    argv = ["--x", "1/3", "--accuracy", "1/4"]
+    path = spec_file(nested(500))  # 499 negations
+    assert run_cli(capsys, ["eval", "--spec", path] + argv) == (0, "r=-1/3 eps=1/4\n", "")
+    path = spec_file(nested(512, "sub"))  # x -> 1 - x, 511 times
+    assert run_cli(capsys, ["eval", "--spec", path] + argv) == (0, "r=2/3 eps=1/4\n", "")
+    path = spec_file(nested(513))
+    code, out, err = run_cli(capsys, ["eval", "--spec", path] + argv)
+    assert (code, out) == (2, "")
+    # the 513th '(' follows 512 copies of "(neg "
+    assert err == "error: line 1, col 2561: nesting deeper than 512\n"
+
+
 def test_usage_errors_exit_2(capsys, spec_file):
     # bad rational flag
     path = spec_file(CHI_SPEC)
     code = main(["eval", "--spec", path, "--x", "0.5", "--accuracy", "1/4"])
     capsys.readouterr()
     assert code == 2
+    # 2^-k beyond the exponent cap, refused before any power is built
+    code, out, err = run_cli(
+        capsys, ["eval", "--spec", path, "--x", "1", "--accuracy", "2^-10000000000"]
+    )
+    assert (code, out) == (2, "")
+    assert "k <= 65536" in err
     # missing required flag
     code = main(["eval", "--spec", path, "--x", "1"])
     capsys.readouterr()

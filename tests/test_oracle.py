@@ -9,10 +9,7 @@ from realcomp import (
     ChiPos,
     Const,
     Converged,
-    Max,
-    Min,
     Mul,
-    Neg,
     NoConvergence,
     NoConvergenceError,
     Query,
@@ -30,7 +27,14 @@ from realcomp import (
     refine,
 )
 
-from helpers import rand_fraction, rand_positive, rand_query
+from helpers import (
+    rand_fraction,
+    rand_positive,
+    rand_query,
+    random_expr,
+    soundness_violations,
+)
+from realcomp.oracle import _OPERATORS
 
 F = Fraction
 
@@ -122,26 +126,41 @@ def test_apply_machine_composes_into_new_oracles():
     assert abs(doubled(F(1, 512)) - F(8, 3)) <= F(1, 512)
 
 
-def _random_expr(rng, depth, arity):
-    """Chi-free expression sampler for the evaluator-agreement property."""
-    if depth == 0 or rng.random() < 0.25:
-        if rng.random() < 0.4:
-            return Const(rand_fraction(rng, 6, 6))
-        return Var(rng.randrange(arity))
-    shape = rng.choice(("add", "sub", "mul", "min", "max", "neg"))
-    if shape == "neg":
-        return Neg(_random_expr(rng, depth - 1, arity))
-    cls = {"add": Add, "sub": Sub, "mul": Mul, "min": Min, "max": Max}[shape]
-    return cls(_random_expr(rng, depth - 1, arity), _random_expr(rng, depth - 1, arity))
-
-
 def test_compiled_machines_agree_with_exact_evaluation():
     rng = random.Random(99)
+    defined = 0
     for _ in range(500):
         arity = rng.choice((1, 2))
-        expr = _random_expr(rng, 4, arity)
+        expr = random_expr(rng, 4, arity)
         machine = expr_to_machine(expr, arity)
         xs = [rand_fraction(rng, 8, 8) for _ in range(arity)]
         tol = rand_positive(rng)
+        try:
+            exact = eval_expr(expr, xs)
+        except Undefined:  # chi-pos at a value <= 0: nothing to agree with
+            continue
+        defined += 1
         oracle = apply_machine(machine, [from_rational(x) for x in xs], fuel=400)
-        assert abs(oracle(tol) - eval_expr(expr, xs)) <= tol
+        assert abs(oracle(tol) - exact) <= tol
+    assert defined >= 300
+
+
+def _subterms(expr):
+    yield expr
+    for child in getattr(expr, "children", ()):
+        yield from _subterms(child)
+
+
+def test_compiled_random_expressions_are_sound():
+    rng = random.Random(61)
+    seen = set()
+    for _ in range(200):
+        arity = rng.choice((1, 2))
+        expr = random_expr(rng, 3, arity)
+        seen.update(type(node) for node in _subterms(expr))
+        machine = expr_to_machine(expr, arity)
+        # A literal zero factor compiles to the constant 0 without looking
+        # at the other factor, so the machine may answer where a chi-pos
+        # under it is undefined; soundness is checked where expr has a value.
+        assert soundness_violations(machine, expr, rng, 30, skip_undefined=True) == 0
+    assert seen >= set(_OPERATORS)

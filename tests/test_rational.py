@@ -118,6 +118,14 @@ def test_parse_accuracy_dyadic_shorthand():
             parse_accuracy(bad)
 
 
+def test_parse_accuracy_bounds_the_dyadic_exponent():
+    assert parse_accuracy("2^-65536") == Fraction(1, 1 << 65536)
+    # rejected before any power of two is built
+    for bad in ("2^-65537", "2^-10000000000"):
+        with pytest.raises(ValueError, match="k <= 65536"):
+            parse_accuracy(bad)
+
+
 @given(q=fractions)
 def test_format_parse_round_trip(q):
     assert parse_rational(format_rational(q)) == q

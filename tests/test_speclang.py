@@ -8,18 +8,17 @@ from realcomp import (
     ChiPos,
     Const,
     ExprSpec,
-    Max,
-    Min,
     Mul,
     Neg,
     ParseError,
     ProbSpec,
     RelSpec,
-    Sub,
     Var,
     format_spec,
     parse_spec,
 )
+
+from helpers import random_expr
 
 F = Fraction
 
@@ -98,29 +97,15 @@ def test_empty_and_malformed_inputs():
             parse_spec(text)
 
 
-def _random_expr(rng, depth):
-    if depth == 0 or rng.random() < 0.3:
-        if rng.random() < 0.5:
-            return Const(F(rng.randint(-9, 9), rng.randint(1, 9)))
-        return Var(0)
-    pick = rng.choice(("add", "sub", "mul", "min", "max", "neg", "chi"))
-    if pick == "neg":
-        return Neg(_random_expr(rng, depth - 1))
-    if pick == "chi":
-        return ChiPos(_random_expr(rng, depth - 1))
-    cls = {"add": Add, "sub": Sub, "mul": Mul, "min": Min, "max": Max}[pick]
-    return cls(_random_expr(rng, depth - 1), _random_expr(rng, depth - 1))
-
-
 def _spec_corpus():
     rng = random.Random(17)
     corpus = []
     for _ in range(30):
-        corpus.append(ExprSpec(_random_expr(rng, 3), 1))
+        corpus.append(ExprSpec(random_expr(rng, 3), 1))
     for _ in range(10):
-        heads = tuple(_random_expr(rng, 2) for _ in range(rng.randint(0, 3)))
-        corpus.append(RelSpec(heads, _random_expr(rng, 2)))
-        corpus.append(RelSpec(tuple(_random_expr(rng, 2) for _ in range(rng.randint(1, 3))), None))
+        heads = tuple(random_expr(rng, 2) for _ in range(rng.randint(0, 3)))
+        corpus.append(RelSpec(heads, random_expr(rng, 2)))
+        corpus.append(RelSpec(tuple(random_expr(rng, 2) for _ in range(rng.randint(1, 3))), None))
     masses = [(F(1, 4), Var(0)), (F(1, 4), Neg(Var(0))), (F(1, 2), Const(F(2, 3)))]
     corpus.append(ProbSpec(tuple(masses)))
     return corpus
