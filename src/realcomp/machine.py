@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Sequence, Union
 
 from .rational import INF, Accuracy, Interval, as_fraction, is_finite
@@ -217,7 +218,86 @@ def domain_neighborhood(
 
 
 # ---------------------------------------------------------------------------
+# Interval rules
+#
+# Each rule maps the (approximation, accuracy) pairs of its operands to the
+# pair of its result; literal parameters come first.  Operand accuracies
+# are finite and positive, and so is every result accuracy, except that
+# chi-pos answers INF where it certifies nothing.  The catalog machines
+# below and the compiled expression plans of realcomp.oracle both run
+# these functions, so each formula is written here once.
+
+_ONE = Fraction(1)
+
+
+def _const_rule(value, *args):
+    """The constant, at the finest argument tolerance.
+
+    The bound cannot be zero (accuracies are strictly positive), so the
+    smallest tolerance stands in for it; it still shrinks to zero under
+    refinement.
+    """
+    return value, min(tol for _, tol in args)
+
+
+def _shift_rule(offset, x):
+    q, tol = x
+    return q + offset, tol
+
+
+def _scale_rule(factor, x):
+    q, tol = x
+    return factor * q, abs(factor) * tol
+
+
+def _neg_rule(x):
+    q, tol = x
+    return -q, tol
+
+
+def _add_rule(x, y):
+    (q1, t1), (q2, t2) = x, y
+    return q1 + q2, t1 + t2
+
+
+def _sub_rule(x, y):
+    (q1, t1), (q2, t2) = x, y
+    return q1 - q2, t1 + t2
+
+
+def _mul_rule(x, y):
+    (q1, t1), (q2, t2) = x, y
+    return q1 * q2, abs(q1) * t2 + abs(q2) * t1 + t1 * t2
+
+
+def _endpointwise(pick):
+    def rule(x, y):
+        (q1, t1), (q2, t2) = x, y
+        lo = pick(q1 - t1, q2 - t2)
+        hi = pick(q1 + t1, q2 + t2)
+        return (lo + hi) / 2, (hi - lo) / 2
+
+    return rule
+
+
+_min_rule = _endpointwise(min)
+_max_rule = _endpointwise(max)
+
+
+def _chi_pos_rule(x):
+    q, tol = x
+    return _ONE, (tol if q - tol > 0 else INF)
+
+
+# ---------------------------------------------------------------------------
 # Machine catalog
+
+
+def _rule_machine(rule, arity: int, name: str) -> IntervalMachine:
+    def transition(query: Query) -> Answer:
+        return Answer(*rule(*query.components))
+
+    return IntervalMachine(arity, transition, name=name)
 
 
 def proj(index: int, arity: int) -> IntervalMachine:
@@ -238,29 +318,15 @@ def identity() -> IntervalMachine:
 
 
 def const_machine(value, arity: int = 1) -> IntervalMachine:
-    """Constant machine; answers the constant at the finest query tolerance.
-
-    The bound cannot be zero (accuracies are strictly positive), so the
-    smallest tolerance in the query stands in for it; it still shrinks to
-    zero under refinement.
-    """
+    """Constant machine; answers the constant at the finest query tolerance."""
     value = as_fraction(value)
-
-    def transition(query: Query) -> Answer:
-        return Answer(value, min(tol for _, tol in query.components))
-
-    return IntervalMachine(arity, transition, name=f"const({value})")
+    return _rule_machine(partial(_const_rule, value), arity, f"const({value})")
 
 
 def shift_machine(offset) -> IntervalMachine:
     """x + offset for an exact rational offset; tolerance passes through."""
     offset = as_fraction(offset)
-
-    def transition(query: Query) -> Answer:
-        q, tol = query.components[0]
-        return Answer(q + offset, tol)
-
-    return IntervalMachine(1, transition, name=f"shift({offset})")
+    return _rule_machine(partial(_shift_rule, offset), 1, f"shift({offset})")
 
 
 def scale_machine(factor) -> IntervalMachine:
@@ -268,62 +334,33 @@ def scale_machine(factor) -> IntervalMachine:
     factor = as_fraction(factor)
     if factor == 0:
         raise ValueError("scale factor must be nonzero; use const_machine(0)")
-
-    def transition(query: Query) -> Answer:
-        q, tol = query.components[0]
-        return Answer(factor * q, abs(factor) * tol)
-
-    return IntervalMachine(1, transition, name=f"scale({factor})")
+    return _rule_machine(partial(_scale_rule, factor), 1, f"scale({factor})")
 
 
 def neg_machine() -> IntervalMachine:
-    m = scale_machine(Fraction(-1))
-    return IntervalMachine(1, m.transition, name="neg")
+    return _rule_machine(_neg_rule, 1, "neg")
 
 
 def add_machine() -> IntervalMachine:
-    def transition(query: Query) -> Answer:
-        (q1, t1), (q2, t2) = query.components
-        return Answer(q1 + q2, t1 + t2)
-
-    return IntervalMachine(2, transition, name="add")
+    return _rule_machine(_add_rule, 2, "add")
 
 
 def sub_machine() -> IntervalMachine:
-    def transition(query: Query) -> Answer:
-        (q1, t1), (q2, t2) = query.components
-        return Answer(q1 - q2, t1 + t2)
-
-    return IntervalMachine(2, transition, name="sub")
+    return _rule_machine(_sub_rule, 2, "sub")
 
 
 def mul_machine() -> IntervalMachine:
     """Product with the exact corner bound |q1|t2 + |q2|t1 + t1*t2."""
-
-    def transition(query: Query) -> Answer:
-        (q1, t1), (q2, t2) = query.components
-        return Answer(q1 * q2, abs(q1) * t2 + abs(q2) * t1 + t1 * t2)
-
-    return IntervalMachine(2, transition, name="mul")
-
-
-def _endpointwise(pick, name: str) -> IntervalMachine:
-    def transition(query: Query) -> Answer:
-        (q1, t1), (q2, t2) = query.components
-        lo = pick(q1 - t1, q2 - t2)
-        hi = pick(q1 + t1, q2 + t2)
-        return Answer((lo + hi) / 2, (hi - lo) / 2)
-
-    return IntervalMachine(2, transition, name=name)
+    return _rule_machine(_mul_rule, 2, "mul")
 
 
 def min_machine() -> IntervalMachine:
     """Pointwise minimum; the exact range is the endpointwise minimum."""
-    return _endpointwise(min, "min")
+    return _rule_machine(_min_rule, 2, "min")
 
 
 def max_machine() -> IntervalMachine:
-    return _endpointwise(max, "max")
+    return _rule_machine(_max_rule, 2, "max")
 
 
 def chi_pos() -> IntervalMachine:
@@ -335,14 +372,7 @@ def chi_pos() -> IntervalMachine:
     runs forever.  This is the partial characteristic function of the
     strictly positive reals.
     """
-
-    def transition(query: Query) -> Answer:
-        q, tol = query.components[0]
-        if q - tol > 0:
-            return Answer(Fraction(1), tol)
-        return Answer(Fraction(1), INF)
-
-    return IntervalMachine(1, transition, name="chi_pos")
+    return _rule_machine(_chi_pos_rule, 1, "chi_pos")
 
 
 def compose(outer: IntervalMachine, inners: Sequence[IntervalMachine]) -> IntervalMachine:

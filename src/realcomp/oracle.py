@@ -7,11 +7,18 @@ applied to oracles yield new oracles, so computed reals compose.
 Real expressions are a small AST (constants, argument variables, exact
 arithmetic, min/max, and the strict-positivity test) that compiles to
 interval-query machines.  Each operator is defined once, as a class that
-carries its spec symbol, exact rule and machine constructor; parsing,
-printing, evaluation and compilation all read that table.  Subtrees with literal rational operands fold
-into exact shift/scale primitives, so e.g. "x + 1" compiles to the
-machine answering (q + 1, tol) rather than a looser composition
-through a constant machine.
+carries its spec symbol, exact rule and interval rule; parsing,
+printing, evaluation and compilation all read that table.
+
+Compilation interns every subterm, so an expression DAG whose subterms
+are shared (the tree of the logistic iterate k grows as 2^k, its DAG
+as k) becomes a plan with one step per distinct subterm.
+A query runs each step once, on raw (approximation, accuracy) pairs;
+only the query going in and the single answer coming out are validated.
+A literal operand folds into an exact primitive: "x + 1" is the step
+answering (q + 1, tol), "c * x" scales by c, and an operator of two
+literals is the constant it evaluates to.  A zero factor does not fold:
+"0 * x" is undefined wherever x is.
 """
 
 from __future__ import annotations
@@ -19,28 +26,28 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import repeat
 from typing import Callable, Sequence
 
 from .machine import (
+    Answer,
     IntervalMachine,
     NoConvergence,
     NoConvergenceError,
-    add_machine,
-    chi_pos,
-    compose,
-    const_machine,
-    max_machine,
-    min_machine,
-    mul_machine,
-    neg_machine,
-    proj,
+    _add_rule,
+    _chi_pos_rule,
+    _const_rule,
+    _max_rule,
+    _min_rule,
+    _mul_rule,
+    _neg_rule,
+    _scale_rule,
+    _shift_rule,
+    _sub_rule,
     refine,
-    scale_machine,
-    shift_machine,
-    sub_machine,
 )
-from .rational import as_fraction
+from .rational import INF, as_fraction
 
 __all__ = [
     "RealOracle",
@@ -153,12 +160,13 @@ class Undefined(Exception):
 class _Operator(RealExpr):
     """An operator node.  Each concrete class is one entry of the operator
     table: `symbol` is its spec-language head, `exact` its rule on exact
-    rationals, `machine` the catalog constructor it compiles to, and the
-    dataclass fields are its children.  `fold(c, literal_left, inner,
-    arity)`, if set, compiles an application with one literal operand c
-    (inner being the compiled other operand) to an exact primitive.
-    A `partial` operator is never folded on literal operands: where its
-    exact rule is undefined the machine must diverge, not fail to compile.
+    rationals, `rule` its interval rule (realcomp.machine), and the
+    dataclass fields are its children.  `fold(c, literal_left)`, if set,
+    gives for an application with one literal operand c the chain of
+    (rule, parameters) steps that computes it exactly from the other
+    operand, or None where it does not fold.  A `partial` operator is
+    never folded on literal operands: where its exact rule is undefined
+    the machine must diverge, not fail to compile.
     """
 
     fold = None
@@ -184,20 +192,19 @@ class _Binary(_Operator):
         return (self.left, self.right)
 
 
-def _shift_fold(c, literal_left, inner, arity):
-    return compose(shift_machine(c), [inner])
+def _shift_fold(c, literal_left):
+    return ((_shift_rule, (c,)),)
 
 
-def _sub_fold(c, literal_left, inner, arity):
+def _sub_fold(c, literal_left):
     if literal_left:  # c - x: a shift of the negation
-        return compose(compose(shift_machine(c), [neg_machine()]), [inner])
-    return compose(shift_machine(-c), [inner])
+        return ((_neg_rule, ()), (_shift_rule, (c,)))
+    return ((_shift_rule, (-c,)),)
 
 
-def _scale_fold(c, literal_left, inner, arity):
-    if c == 0:
-        return const_machine(0, arity)
-    return compose(scale_machine(c), [inner])
+def _scale_fold(c, literal_left):
+    # 0 * x is undefined wherever x is, so a zero factor goes through mul
+    return ((_scale_rule, (c,)),) if c else None
 
 
 def _chi_pos_exact(a: Fraction) -> Fraction:
@@ -209,46 +216,46 @@ def _chi_pos_exact(a: Fraction) -> Fraction:
 class Add(_Binary):
     symbol = "add"
     exact = staticmethod(operator.add)
-    machine = staticmethod(add_machine)
+    rule = staticmethod(_add_rule)
     fold = staticmethod(_shift_fold)
 
 
 class Sub(_Binary):
     symbol = "sub"
     exact = staticmethod(operator.sub)
-    machine = staticmethod(sub_machine)
+    rule = staticmethod(_sub_rule)
     fold = staticmethod(_sub_fold)
 
 
 class Mul(_Binary):
     symbol = "mul"
     exact = staticmethod(operator.mul)
-    machine = staticmethod(mul_machine)
+    rule = staticmethod(_mul_rule)
     fold = staticmethod(_scale_fold)
 
 
 class Min(_Binary):
     symbol = "min"
     exact = staticmethod(min)
-    machine = staticmethod(min_machine)
+    rule = staticmethod(_min_rule)
 
 
 class Max(_Binary):
     symbol = "max"
     exact = staticmethod(max)
-    machine = staticmethod(max_machine)
+    rule = staticmethod(_max_rule)
 
 
 class Neg(_Unary):
     symbol = "neg"
     exact = staticmethod(operator.neg)
-    machine = staticmethod(neg_machine)
+    rule = staticmethod(_neg_rule)
 
 
 class ChiPos(_Unary):
     symbol = "chi-pos"
     exact = staticmethod(_chi_pos_exact)
-    machine = staticmethod(chi_pos)
+    rule = staticmethod(_chi_pos_rule)
     partial = True
 
 
@@ -277,28 +284,89 @@ def eval_expr(expr: RealExpr, xs: Sequence[Fraction]) -> Fraction:
 
 
 def expr_to_machine(expr: RealExpr, arity: int) -> IntervalMachine:
-    """Compile an expression to a sound machine of the given arity."""
+    """Compile an expression to a sound machine of the given arity.
+
+    Takes time linear in the expression DAG: shared subterms, and
+    structurally equal ones, are compiled and evaluated once.
+    """
     if arity < 1:
         raise ValueError(f"arity must be >= 1, got {arity}")
-    needed = expr_arity(expr)
-    if needed > arity:
+    plan = _Plan(arity)
+    root = plan.slot(expr)
+    if plan.needed > arity:
         raise ValueError(
-            f"unbound variable: expression uses {needed} argument(s), "
+            f"unbound variable: expression uses {plan.needed} argument(s), "
             f"declared arity is {arity}"
         )
-    return _compile(expr, arity)
+    return plan.machine(root)
 
 
-def _compile(expr: RealExpr, arity: int) -> IntervalMachine:
-    if isinstance(expr, Const):
-        return const_machine(expr.value, arity)
-    if isinstance(expr, Var):
-        return proj(expr.index, arity)
-    kids = expr.children
-    lc, rc = isinstance(kids[0], Const), isinstance(kids[-1], Const)
-    if lc and rc and not expr.partial:
-        return const_machine(expr.exact(*[kid.value for kid in kids]), arity)
-    if (lc or rc) and expr.fold is not None:
-        c, other = (kids[0].value, kids[1]) if lc else (kids[1].value, kids[0])
-        return expr.fold(c, lc, _compile(other, arity), arity)
-    return compose(expr.machine(), list(map(_compile, kids, repeat(arity))))
+class _Plan:
+    """The steps of a compiled expression, in topological order.
+
+    Slots 0 .. arity-1 hold the query's components; step i fills slot
+    arity + i by applying its rule to the pairs in its operand slots.
+    Steps are interned on (rule, literal parameters, operand slots), so
+    structurally equal subterms share one slot.
+    """
+
+    def __init__(self, arity: int):
+        self.arity = arity
+        self.needed = 1
+        self.steps = []
+        self._interned = {}
+        self._seen = {}  # id(expr) -> slot, so a shared object is walked once
+
+    def _step(self, rule, params: tuple, operands: tuple) -> int:
+        key = (rule, params, operands)
+        slot = self._interned.get(key)
+        if slot is None:
+            slot = self._interned[key] = self.arity + len(self.steps)
+            self.steps.append((partial(rule, *params) if params else rule, operands))
+        return slot
+
+    def _const(self, value: Fraction) -> int:
+        return self._step(_const_rule, (value,), tuple(range(self.arity)))
+
+    def slot(self, expr: RealExpr) -> int:
+        """The slot that computes expr, compiling it on first sight."""
+        slot = self._seen.get(id(expr))
+        if slot is not None:
+            return slot
+        if isinstance(expr, Var):
+            self.needed = max(self.needed, expr.index + 1)
+            slot = expr.index
+        elif isinstance(expr, Const):
+            slot = self._const(expr.value)
+        else:
+            kids = expr.children
+            lc, rc = isinstance(kids[0], Const), isinstance(kids[-1], Const)
+            chain = None
+            if (lc or rc) and expr.fold is not None:
+                c, other = (kids[0].value, kids[1]) if lc else (kids[1].value, kids[0])
+                chain = expr.fold(c, lc)
+            if lc and rc and not expr.partial:
+                slot = self._const(expr.exact(*[kid.value for kid in kids]))
+            elif chain is not None:
+                slot = self.slot(other)
+                for rule, params in chain:
+                    slot = self._step(rule, params, (slot,))
+            else:
+                slot = self._step(expr.rule, (), tuple(map(self.slot, kids)))
+        self._seen[id(expr)] = slot
+        return slot
+
+    def machine(self, root: int) -> IntervalMachine:
+        steps = tuple(self.steps)
+
+        def transition(query) -> Answer:
+            vals = list(query.components)
+            for rule, operands in steps:
+                value = rule(*[vals[k] for k in operands])
+                # an uncertified operand leaves nothing to certify above it
+                if value[1] is INF and len(vals) != root:
+                    return Answer(Fraction(0), INF)
+                vals.append(value)
+            return Answer(*vals[root])
+
+        return IntervalMachine(self.arity, transition, name=f"plan({len(steps)} steps)")

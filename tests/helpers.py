@@ -1,5 +1,5 @@
-"""Shared helpers: seeded rational and expression sampling, and the
-soundness harness."""
+"""Shared helpers: seeded rational and expression sampling, the
+soundness harness, and the catalog-tree reference compiler."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ from fractions import Fraction
 
 from realcomp import (
     Add,
+    ChiPos,
     Const,
     Max,
     Min,
@@ -18,9 +19,21 @@ from realcomp import (
     Sub,
     Undefined,
     Var,
+    add_machine,
     apply,
+    chi_pos,
+    compose,
+    const_machine,
     eval_expr,
     is_finite,
+    max_machine,
+    min_machine,
+    mul_machine,
+    neg_machine,
+    proj,
+    scale_machine,
+    shift_machine,
+    sub_machine,
 )
 from realcomp.oracle import _OPERATORS
 
@@ -75,15 +88,74 @@ def random_expr(rng: random.Random, depth: int, arity: int = 1):
     return op(*[random_expr(rng, depth - 1, arity) for _ in fields(op)])
 
 
-def soundness_violations(machine, expr, rng: random.Random, samples: int,
-                         skip_undefined: bool = False) -> int:
+def random_dag(rng: random.Random, nodes: int, arity: int = 1):
+    """A random expression DAG over every table operator.
+
+    Each operator node takes its operands from the nodes built before it,
+    mostly the latest few, so subterms are shared and nest.  Some nodes
+    are also rebuilt as equal but distinct objects.
+    """
+    pool = [Var(i) for i in range(arity)]
+    pool += [Const(rand_fraction(rng, 6, 6)) for _ in range(2)]
+    for _ in range(nodes):
+        op = rng.choice(_OPERATORS)
+        kids = [rng.choice(pool[-4:] if rng.random() < 0.7 else pool)
+                for _ in fields(op)]
+        pool.append(op(*kids))
+        if rng.random() < 0.2:
+            pool.append(op(*kids))
+    return pool[-1]
+
+
+_CATALOG = {
+    Add: add_machine,
+    Sub: sub_machine,
+    Mul: mul_machine,
+    Min: min_machine,
+    Max: max_machine,
+    Neg: neg_machine,
+    ChiPos: chi_pos,
+}
+
+
+def reference_machine(expr, arity: int):
+    """expr as a tree of catalog machines joined by `compose`.
+
+    It folds literal operands as `expr_to_machine` does: x + c and x - c
+    are shifts, c - x the shift of the negation, c * x a scale unless c
+    is 0, and a total operator of two literals is a constant.  A shared
+    subterm is built once per use.
+    """
+    if isinstance(expr, Const):
+        return const_machine(expr.value, arity)
+    if isinstance(expr, Var):
+        return proj(expr.index, arity)
+    kids = expr.children
+    lc, rc = isinstance(kids[0], Const), isinstance(kids[-1], Const)
+    if lc and rc and not isinstance(expr, ChiPos):
+        return const_machine(eval_expr(expr, ()), arity)
+    if (lc or rc) and isinstance(expr, (Add, Sub, Mul)):
+        c, other = (kids[0].value, kids[1]) if lc else (kids[1].value, kids[0])
+        inner = reference_machine(other, arity)
+        if isinstance(expr, Add):
+            return compose(shift_machine(c), [inner])
+        if isinstance(expr, Sub) and lc:
+            return compose(shift_machine(c), [compose(neg_machine(), [inner])])
+        if isinstance(expr, Sub):
+            return compose(shift_machine(-c), [inner])
+        if isinstance(expr, Mul) and c != 0:
+            return compose(scale_machine(c), [inner])
+    return compose(_CATALOG[type(expr)](),
+                   [reference_machine(kid, arity) for kid in kids])
+
+
+def soundness_violations(machine, expr, rng: random.Random, samples: int) -> int:
     """Count query/point pairs violating the soundness inequality.
 
     The reference value is the exact rational evaluation of `expr`.  A
     finite answer covering a point where `expr` is undefined claims a
-    value that does not exist, and counts as a violation unless
-    `skip_undefined` restricts the check to the points where `expr` has a
-    value.  The check is exact, so the expected count is always zero.
+    value that does not exist, and counts as a violation.  The check is
+    exact, so the expected count is always zero.
     """
     violations = 0
     for _ in range(samples):
@@ -95,7 +167,7 @@ def soundness_violations(machine, expr, rng: random.Random, samples: int,
         try:
             value = eval_expr(expr, xs)
         except Undefined:
-            violations += not skip_undefined
+            violations += 1
             continue
         if abs(value - answer.value) > answer.accuracy:
             violations += 1

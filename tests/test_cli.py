@@ -111,6 +111,17 @@ def test_domain_command(capsys, spec_file):
     assert "no-convergence" in out
 
 
+def test_a_zero_factor_is_undefined_where_the_other_factor_is(capsys, spec_file):
+    path = spec_file("(mul (rat 0 1) (chi-pos (var 0)))")
+    diverges = (1, "status=no-convergence steps=30 all_infinite=true\n", "")
+    argv = ["--spec", path, "--x", "-1", "--fuel", "30"]
+    assert run_cli(capsys, ["eval", "--accuracy", "1/4"] + argv) == diverges
+    assert run_cli(capsys, ["domain"] + argv) == diverges
+    argv = ["--spec", path, "--x", "1", "--fuel", "30"]
+    assert run_cli(capsys, ["eval", "--accuracy", "1/4"] + argv) == (0, "r=0 eps=9/64\n", "")
+    assert run_cli(capsys, ["domain"] + argv) == (0, "arg=0 lo=1/2 hi=3/2\n", "")
+
+
 def test_member_command_exit_codes(capsys, spec_file):
     path = spec_file(TAIL_SPEC)
     base = ["member", "--spec", path, "--x", "0", "--accuracy", "2^-10",

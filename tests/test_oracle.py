@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from realcomp import (
+    INF,
     Add,
     Answer,
     ChiPos,
@@ -22,8 +23,10 @@ from realcomp import (
     eval_expr,
     expr_arity,
     expr_to_machine,
+    format_expr,
     from_rational,
     identity,
+    parse_spec,
     refine,
 )
 
@@ -31,7 +34,9 @@ from helpers import (
     rand_fraction,
     rand_positive,
     rand_query,
+    random_dag,
     random_expr,
+    reference_machine,
     soundness_violations,
 )
 from realcomp.oracle import _OPERATORS
@@ -159,8 +164,51 @@ def test_compiled_random_expressions_are_sound():
         expr = random_expr(rng, 3, arity)
         seen.update(type(node) for node in _subterms(expr))
         machine = expr_to_machine(expr, arity)
-        # A literal zero factor compiles to the constant 0 without looking
-        # at the other factor, so the machine may answer where a chi-pos
-        # under it is undefined; soundness is checked where expr has a value.
-        assert soundness_violations(machine, expr, rng, 30, skip_undefined=True) == 0
+        assert soundness_violations(machine, expr, rng, 30) == 0
     assert seen >= set(_OPERATORS)
+
+
+def test_plans_answer_exactly_like_the_catalog_tree():
+    rng = random.Random(23)
+    uncertified = set()
+    for _ in range(150):
+        arity = rng.choice((1, 2))
+        expr = random_dag(rng, 8, arity)
+        plan = expr_to_machine(expr, arity)
+        tree = reference_machine(expr, arity)
+        for _ in range(10):
+            query = rand_query(rng, arity)
+            answer = apply(plan, query)
+            assert answer == apply(tree, query)
+            if answer.accuracy is INF:
+                uncertified.add(answer.value)
+        assert soundness_violations(plan, expr, rng, 10) == 0
+    # INF answers from a chi-pos at the root (1) and below it (0) both occur
+    assert uncertified == {0, 1}
+
+
+def logistic_dag(k: int):
+    """The k-th iterate of x -> 15/4 x (1 - x); each iterate is one shared object."""
+    x = Var(0)
+    for _ in range(k):
+        x = Mul(Const(F(15, 4)), Mul(x, Sub(Const(1), x)))
+    return x
+
+
+def test_compiling_is_linear_in_the_dag():
+    # The 60th iterate's tree has about 2^60 nodes.  It is only compiled:
+    # its value at a rational would have about 2^60 bits.
+    assert expr_to_machine(logistic_dag(60), 1).arity == 1
+    depth = 512  # the parser's nesting cap; x - (x - (... - x)) is 0
+    chain = parse_spec("(sub (var 0) " * (depth - 1) + "(var 0)" + ")" * (depth - 1))
+    machine = expr_to_machine(chain.expr, 1)
+    outcome = refine(machine, [from_rational(F(1, 3))], F(1, 4), 20)
+    assert outcome == Converged(F(0), F(1, 4), steps=12)
+
+
+def test_structurally_equal_subterms_share_one_step():
+    dag = logistic_dag(6)
+    tree = parse_spec(format_expr(dag)).expr  # no shared objects left
+    # neg, shift, mul and scale per iterate; the constants fold into them
+    assert expr_to_machine(dag, 1).name == "plan(24 steps)"
+    assert expr_to_machine(tree, 1).name == "plan(24 steps)"
