@@ -27,7 +27,6 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import repeat
 from typing import Callable, Sequence
 
 from .machine import (
@@ -265,22 +264,40 @@ class ChiPos(_Unary):
 _OPERATORS = (Add, Sub, Mul, Min, Max, Neg, ChiPos)
 
 
+def _walk_dag(expr: RealExpr, leaf, node):
+    """Fold expr bottom-up: leaf(e) at a Const or Var, node(e, *child
+    values) at an operator.  Memoised on the subterm object, so a shared
+    DAG is walked in linear time."""
+    seen = {}
+
+    def walk(e: RealExpr):
+        v = seen.get(id(e))
+        if v is None:
+            if isinstance(e, (Const, Var)):
+                v = seen[id(e)] = leaf(e)
+            else:
+                v = seen[id(e)] = node(e, *map(walk, e.children))
+        return v
+
+    return walk(expr)
+
+
 def expr_arity(expr: RealExpr) -> int:
     """Smallest arity the expression is well-formed at (at least 1)."""
-    if isinstance(expr, Var):
-        return expr.index + 1
-    if isinstance(expr, Const):
-        return 1
-    return max(1, *map(expr_arity, expr.children))
+    return _walk_dag(
+        expr,
+        lambda e: e.index + 1 if isinstance(e, Var) else 1,
+        lambda e, *arities: max(1, *arities),
+    )
 
 
 def eval_expr(expr: RealExpr, xs: Sequence[Fraction]) -> Fraction:
     """Exact rational evaluation; raises Undefined on chi at a value <= 0."""
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, Var):
-        return as_fraction(xs[expr.index])
-    return expr.exact(*map(eval_expr, expr.children, repeat(xs)))
+    return _walk_dag(
+        expr,
+        lambda e: e.value if isinstance(e, Const) else as_fraction(xs[e.index]),
+        lambda e, *values: e.exact(*values),
+    )
 
 
 def expr_to_machine(expr: RealExpr, arity: int) -> IntervalMachine:

@@ -17,14 +17,19 @@ and each output is the state mixed by two xor-shift-multiply rounds
 (constants 0xBF58476D1CE4E5B9 and 0x94D049BB133111EB, final shift 31).
 Uniform draws are the exact rationals u = k / 2^64 with k the next
 64-bit output, so inverse-CDF selection over rational cumulative masses
-is exact.  For parallel streams, derive child seeds with spawn_seed(seed,
-stream_index) rather than reusing the parent sampler.
+is exact.  select_index is that selection for any rational u;
+empirical_frequency (the CLI's freq) applies the same rule to the raw
+draw k, comparing it with the integer cut points ceil(c * 2^64) of the
+cumulative masses c.  For parallel streams, derive child seeds with
+spawn_seed(seed, stream_index) rather than reusing the parent sampler.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Sequence
 
 from .machine import (
@@ -163,6 +168,20 @@ def select_index(alg: DiscreteProbAlgorithm, u) -> int:
     raise AssertionError("unreachable: masses sum to 1")  # pragma: no cover
 
 
+def _draw_selector(alg: DiscreteProbAlgorithm):
+    """k -> select_index(alg, k / 2^64) for 64-bit draws k, on integers.
+
+    For each cumulative mass c, k / 2^64 < c iff k < ceil(c * 2^64), so
+    the branch is the number of these cut points at or below k.
+    """
+    cuts = []
+    cumulative = Fraction(0)
+    for branch in alg.branches:
+        cumulative += branch.mass
+        cuts.append(-((-cumulative.numerator << 64) // cumulative.denominator))
+    return partial(bisect_right, cuts)
+
+
 def sample(
     alg: DiscreteProbAlgorithm,
     x: RealOracle,
@@ -239,8 +258,9 @@ def empirical_frequency(
         raise ValueError(f"need at least one sample, got {n}")
     counts = [0] * len(alg.branches)
     refined: dict = {}
+    select = _draw_selector(alg)
     for _ in range(n):
-        index = select_index(alg, sampler.next_unit())
+        index = select(sampler.next_u64())
         if index not in refined:
             outcome = refine(alg.branches[index].machine, [x], accuracy, fuel)
             if isinstance(outcome, NoConvergence):

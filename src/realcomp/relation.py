@@ -11,6 +11,11 @@ Membership is only semi-decidable from the positive side: member_semi
 can certify "related" by exhibiting an index, but exhausting a finite
 window is never a refutation, because equality of reals cannot be
 decided from finite-accuracy answers.
+
+enumerate_witnesses and member_semi refine each distinct branch machine
+once per call: every tail index of a (tail ...) relation, and every
+index of a lifted function, reuses one refinement.  Refinement is pure,
+so the reuse is invisible, like the oracle memo.
 """
 
 from __future__ import annotations
@@ -187,6 +192,23 @@ def _window(rel: RealEnumRel, max_index: int) -> range:
     return range(rel.omega.clip(max_index) + 1)
 
 
+def _witnesses(rel: RealEnumRel, x: RealOracle, indices: range, accuracy, fuel: int):
+    """(i, witness(rel, x, i, accuracy, fuel)) for each index, in order.
+
+    Each distinct machine is refined once; a later index with the same
+    machine reuses that outcome, re-indexed.
+    """
+    seen: dict = {}  # machine -> outcome of its first index
+    for i in indices:
+        machine = rel.slice(i)
+        result = seen.get(machine)
+        if result is None:
+            result = seen[machine] = witness(rel, x, i, accuracy, fuel)
+        elif isinstance(result, WitnessEntry):
+            result = WitnessEntry(i, result.value, result.accuracy)
+        yield i, result
+
+
 def enumerate_witnesses(
     rel: RealEnumRel,
     x: RealOracle,
@@ -197,8 +219,7 @@ def enumerate_witnesses(
     """Witnesses for indices 0..max_index (clipped to a finite index set)."""
     entries = []
     skipped = []
-    for i in _window(rel, max_index):
-        result = witness(rel, x, i, accuracy, fuel)
+    for i, result in _witnesses(rel, x, _window(rel, max_index), accuracy, fuel):
         if isinstance(result, WitnessEntry):
             entries.append(result)
         else:
@@ -229,8 +250,7 @@ def member_semi(
     indices = _window(rel, max_index)
     quarter = accuracy / 4
     y_approx = y(quarter)
-    for i in indices:
-        result = witness(rel, x, i, quarter, fuel)
+    for i, result in _witnesses(rel, x, indices, quarter, fuel):
         if isinstance(result, WitnessEntry):
             if abs(result.value - y_approx) <= accuracy / 2:
                 return i

@@ -149,6 +149,8 @@ def test_sample_and_freq_are_seed_deterministic(capsys, spec_file):
     lines = out.splitlines()
     assert len(lines) == 4
     assert sum(int(line.split("count=")[1]) for line in lines) == 2000
+    # pinned, so that selecting a branch off by one at a cut point fails
+    assert out == "i=0 count=512\ni=1 count=501\ni=2 count=491\ni=3 count=496\n"
     assert (code, out, "") == run_cli(capsys, argv)
 
 

@@ -206,6 +206,17 @@ def test_compiling_is_linear_in_the_dag():
     assert outcome == Converged(F(0), F(1, 4), steps=12)
 
 
+def test_arity_and_exact_evaluation_are_linear_in_the_dag():
+    # 0 is a fixed point of the logistic map, so every value stays 0
+    dag = logistic_dag(60)
+    assert expr_arity(dag) == 1
+    assert eval_expr(dag, [F(0)]) == 0
+    shared = ChiPos(Var(0))
+    assert eval_expr(Add(shared, shared), [F(1)]) == 2
+    with pytest.raises(Undefined):
+        eval_expr(Add(shared, shared), [F(-1)])
+
+
 def test_structurally_equal_subterms_share_one_step():
     dag = logistic_dag(6)
     tree = parse_spec(format_expr(dag)).expr  # no shared objects left

@@ -1,8 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from realcomp import (
@@ -32,6 +33,7 @@ from realcomp import (
     select_index,
     spawn_seed,
 )
+from realcomp.prob import _draw_selector
 
 F = Fraction
 
@@ -246,6 +248,40 @@ def test_empirical_frequency_matches_masses_within_binomial_tolerance():
     for count, mass in zip(counts, alg.masses):
         deviation = F(count, n) - mass
         assert deviation * deviation <= 16 * mass * (1 - mass) / n
+
+
+@st.composite
+def mass_vectors(draw):
+    """Exact masses summing to 1, zero masses included."""
+    weights = draw(st.lists(st.integers(0, 2**70), min_size=1, max_size=6).filter(any))
+    total = sum(weights)
+    return [F(w, total) for w in weights]
+
+
+@settings(max_examples=200)
+@given(
+    masses=mass_vectors(),
+    draws=st.lists(st.integers(0, 2**64 - 1), max_size=20),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(masses=[F(1, 4), F(0), F(0), F(3, 4)], draws=[], seed=0)
+@example(masses=[F(1, 3), F(0), F(2, 3)], draws=[], seed=5)
+def test_cut_points_select_like_select_index(masses, draws, seed):
+    machine = expr_to_machine(X, 1)
+    alg = make_prob([ProbBranch(machine, m) for m in masses])
+    select = _draw_selector(alg)
+    cumulative = [sum(masses[: i + 1]) for i in range(len(masses))]
+    cuts = [math.ceil(c * 2**64) for c in cumulative]
+    edges = [k for cut in cuts for k in (cut - 1, cut) if 0 <= k < 2**64]
+    for k in draws + edges:
+        assert select(k) == select_index(alg, F(k, 2**64))
+    n = 60
+    replay = Sampler(seed)
+    counts = [0] * len(masses)
+    for _ in range(n):
+        counts[select_index(alg, replay.next_unit())] += 1
+    x = from_rational(0)
+    assert empirical_frequency(alg, x, n, Sampler(seed), F(1, 8), 100) == counts
 
 
 def test_mass_discontinuity_that_rules_out_pointwise_mass_functions():

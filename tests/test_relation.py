@@ -3,18 +3,23 @@ from fractions import Fraction
 
 import pytest
 
+import realcomp.relation as relation_module
 from realcomp import (
     FAIL,
     Add,
     Answer,
+    ChiPos,
     Const,
     IndexSet,
+    Mul,
     NATURALS,
     NoConvergence,
     Query,
     RealEnumRel,
+    RealOracle,
     Var,
     WitnessEntry,
+    WitnessList,
     apply,
     chi_pos,
     cluster_values,
@@ -206,3 +211,77 @@ def test_cluster_values_radius_semantics():
     clusters = cluster_values(values, F(1, 50))
     assert [len(c) for c in clusters] == [2, 2, 1]
     assert brute_force_clusters(values, F(1, 50)) == 3
+
+
+def counted_refines(monkeypatch):
+    """The machines relation.refine is called on, in order."""
+    calls = []
+    original = relation_module.refine
+
+    def counted(machine, *args, **kwargs):
+        calls.append(machine)
+        return original(machine, *args, **kwargs)
+
+    monkeypatch.setattr(relation_module, "refine", counted)
+    return calls
+
+
+def three_heads_and(tail):
+    return make_tail_rel([Var(0), Add(Var(0), Const(1)), Mul(Const(2), Var(0))], tail)
+
+
+def one_witness_per_index(rel, x, accuracy, max_index, fuel):
+    results = [witness(rel, x, i, accuracy, fuel) for i in range(max_index + 1)]
+    return WitnessList(
+        tuple(r for r in results if isinstance(r, WitnessEntry)),
+        tuple(i for i, r in enumerate(results) if not isinstance(r, WitnessEntry)),
+    )
+
+
+def test_enumerate_refines_each_distinct_machine_once(monkeypatch):
+    calls = counted_refines(monkeypatch)
+    x, accuracy = from_rational(F(1, 3)), F(1, 256)
+    rel = three_heads_and(Add(Var(0), Const(3)))
+    listing = enumerate_witnesses(rel, x, accuracy, 40, 500)
+    assert len(calls) == 4
+    assert listing.skipped == ()
+    assert [entry.index for entry in listing.entries] == list(range(41))
+    assert listing == one_witness_per_index(rel, x, accuracy, 40, 500)
+
+    calls.clear()
+    divergent = three_heads_and(ChiPos(Var(0)))
+    listing = enumerate_witnesses(divergent, from_rational(-1), accuracy, 40, 50)
+    assert len(calls) == 4
+    assert listing.skipped == tuple(range(3, 41))
+    assert listing == one_witness_per_index(divergent, from_rational(-1), accuracy, 40, 50)
+
+
+def test_member_semi_reaches_the_first_tail_index_with_one_refine(monkeypatch):
+    calls = counted_refines(monkeypatch)
+    rel = three_heads_and(Add(Var(0), Const(3)))
+    x, y = from_rational(F(1, 3)), from_rational(F(10, 3))
+    assert member_semi(rel, x, y, F(1, 1024), 40, 500) == 3
+    assert len(calls) == 4
+    calls.clear()
+    assert member_semi(rel, x, from_rational(100), F(1, 1024), 40, 500) is None
+    assert len(calls) == 4
+
+
+def test_a_functional_relation_is_refined_once(monkeypatch):
+    calls = counted_refines(monkeypatch)
+    rel = from_function(shift_machine(1))
+    listing = enumerate_witnesses(rel, from_rational(F(1, 2)), F(1, 64), 10, 100)
+    assert len(calls) == 1
+    assert [(e.index, e.value) for e in listing.entries] == [(i, F(3, 2)) for i in range(11)]
+
+
+def test_member_semi_checks_the_window_before_asking_y():
+    asked = []
+
+    def ask(tolerance):
+        asked.append(tolerance)
+        return F(0)
+
+    with pytest.raises(ValueError, match="max_index"):
+        member_semi(two_branch_rel(), from_rational(0), RealOracle(ask), F(1, 8), -1, 100)
+    assert asked == []
