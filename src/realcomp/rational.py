@@ -20,10 +20,8 @@ __all__ = [
     "Accuracy",
     "is_finite",
     "Interval",
-    "interval_of",
     "parse_rational",
     "parse_accuracy",
-    "format_rational",
 ]
 
 
@@ -124,15 +122,6 @@ class Interval:
         return f"[{self.lo}, {self.hi}]"
 
 
-def interval_of(center, radius) -> Interval:
-    """The closed interval of all points within `radius` of `center`."""
-    center = as_fraction(center)
-    radius = as_fraction(radius)
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    return Interval(center - radius, center + radius)
-
-
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 _DYADIC_RE = re.compile(r"^2\^-(\d+)$")
 # Largest k accepted in the "2^-k" shorthand.  Meeting 2^-65536 already
@@ -172,8 +161,3 @@ def parse_accuracy(text: str) -> Fraction:
     if value <= 0:
         raise ValueError(f"accuracy must be positive, got {text!r}")
     return value
-
-
-def format_rational(q: Fraction) -> str:
-    """Canonical text form: "n" for integers, "n/d" otherwise."""
-    return str(q)

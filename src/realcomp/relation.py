@@ -196,14 +196,17 @@ def _witnesses(rel: RealEnumRel, x: RealOracle, indices: range, accuracy, fuel: 
     """(i, witness(rel, x, i, accuracy, fuel)) for each index, in order.
 
     Each distinct machine is refined once; a later index with the same
-    machine reuses that outcome, re-indexed.
+    machine reuses that outcome, re-indexed.  Keyed on identity, so a
+    machine need not be hashable; holding the machine keeps its id from
+    being reused within the call.
     """
-    seen: dict = {}  # machine -> outcome of its first index
+    seen: dict = {}  # id(machine) -> (machine, outcome of its first index)
     for i in indices:
         machine = rel.slice(i)
-        result = seen.get(machine)
+        _, result = seen.get(id(machine), (None, None))
         if result is None:
-            result = seen[machine] = witness(rel, x, i, accuracy, fuel)
+            result = witness(rel, x, i, accuracy, fuel)
+            seen[id(machine)] = machine, result
         elif isinstance(result, WitnessEntry):
             result = WitnessEntry(i, result.value, result.accuracy)
         yield i, result

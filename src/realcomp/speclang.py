@@ -1,6 +1,7 @@
 """The machine-specification language: s-expressions over a fixed grammar.
 
-Atoms are symbols and decimal integers.  Heads:
+Atoms are symbols and integers (decimal digits, optionally signed); a
+';' starts a comment that runs to the end of the line.  Heads:
 
     (rat n d)          exact rational constant n/d
     (var k)            argument variable, k >= 0
@@ -17,9 +18,10 @@ branches must be one-argument expressions.  Lists nest at most 512 deep.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .oracle import _OPERATORS, Const, RealExpr, Var, expr_arity
 
@@ -42,115 +44,79 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "(", ")", "int", "symbol"
-    text: str
-    line: int
-    col: int
+# A paren, an atom, or a comment running to the end of its line.
+_TOKEN_RE = re.compile(r"[()]|[^ \t\r\n();]+|;[^\n]*")
+# \d is the Unicode decimal digits, the same set int() reads.
+_INT_RE = re.compile(r"[+-]?\d+")
 
-
-def _tokenize(text: str):
-    line, col = 1, 1
-    i = 0
-    tokens = []
-    while i < len(text):
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c in " \t\r":
-            col += 1
-            i += 1
-        elif c == ";":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            tokens.append(_Token(c, c, line, col))
-            col += 1
-            i += 1
-        else:
-            start = i
-            start_col = col
-            while i < len(text) and text[i] not in " \t\r\n();":
-                i += 1
-                col += 1
-            word = text[start:i]
-            kind = "int" if _is_int(word) else "symbol"
-            tokens.append(_Token(kind, word, line, start_col))
-    return tokens
-
-
-def _is_int(word: str) -> bool:
-    body = word[1:] if word[:1] in "+-" else word
-    return body.isdigit()
-
-
-@dataclass(frozen=True)
-class _Node:
-    """Either an atom (items is None) or a parenthesized list."""
-
-    items: Optional[tuple]
-    token: _Token
-
-    @property
-    def is_list(self) -> bool:
-        return self.items is not None
-
-
-# Deepest list nesting a specification may have.  Every pass over the
-# tree (reading, building, arity, compiling, answering queries) recurses
-# once per level, so the cap keeps them all inside Python's recursion limit.
+# Deepest list nesting a specification may have.  Building, arity,
+# exact evaluation, compiling and printing recurse once per level, so the
+# cap keeps them all inside Python's recursion limit.
 _MAX_DEPTH = 512
 
 
-def _read(tokens: Sequence[_Token], pos: int, depth: int = 1) -> tuple:
-    if pos >= len(tokens):
-        last = tokens[-1] if tokens else _Token("", "", 1, 1)
-        raise ParseError("unexpected end of input", last.line, last.col)
-    tok = tokens[pos]
-    if tok.kind == "(":
-        if depth > _MAX_DEPTH:
-            raise ParseError(f"nesting deeper than {_MAX_DEPTH}", tok.line, tok.col)
-        items = []
-        pos += 1
-        while True:
-            if pos >= len(tokens):
-                raise ParseError("unclosed '('", tok.line, tok.col)
-            if tokens[pos].kind == ")":
-                return _Node(tuple(items), tok), pos + 1
-            node, pos = _read(tokens, pos, depth + 1)
-            items.append(node)
-    if tok.kind == ")":
-        raise ParseError("unexpected ')'", tok.line, tok.col)
-    return _Node(None, tok), pos + 1
+def _read(text: str):
+    """The one datum in text.
+
+    An atom is its re.Match; a list is [match of its '(', *items].
+    """
+    stack = []  # open lists, innermost last
+    datum = None
+    for match in _TOKEN_RE.finditer(text):
+        token = match.group()
+        if token[0] == ";":
+            continue
+        if datum is not None:
+            _err(match, "trailing content after specification")
+        if token == "(":
+            if len(stack) == _MAX_DEPTH:
+                _err(match, f"nesting deeper than {_MAX_DEPTH}")
+            stack.append([match])
+            continue
+        if token == ")":
+            if not stack:
+                _err(match, "unexpected ')'")
+            node = stack.pop()
+        else:
+            node = match
+        if stack:
+            stack[-1].append(node)
+        else:
+            datum = node
+    if stack:
+        _err(stack[-1], "unclosed '('")
+    if datum is None:
+        raise ParseError("empty specification", 1, 1)
+    return datum
 
 
-def _err(node: _Node, message: str):
-    raise ParseError(message, node.token.line, node.token.col)
+def _err(node, message: str):
+    """Raise at the node's first character; a tab or '\\r' is one column."""
+    match = node[0] if isinstance(node, list) else node
+    text, pos = match.string, match.start()
+    line = text.count("\n", 0, pos) + 1
+    raise ParseError(message, line, pos - text.rfind("\n", 0, pos))
 
 
-def _want_int(node: _Node, what: str) -> int:
-    if node.is_list or node.token.kind != "int":
+def _want_int(node, what: str) -> int:
+    if isinstance(node, list) or not _INT_RE.fullmatch(node.group()):
         _err(node, f"expected an integer for {what}")
-    return int(node.token.text)
+    return int(node.group())
 
 
 # spec head -> (operator class, number of operands)
 _OPERATOR_BY_SYMBOL = {op.symbol: (op, len(fields(op))) for op in _OPERATORS}
 
 
-def _build_expr(node: _Node) -> RealExpr:
-    if not node.is_list:
-        _err(node, f"expected an expression, got atom {node.token.text!r}")
-    if not node.items:
+def _build_expr(node) -> RealExpr:
+    if not isinstance(node, list):
+        _err(node, f"expected an expression, got atom {node.group()!r}")
+    if len(node) == 1:
         _err(node, "empty expression")
-    head = node.items[0]
-    if head.is_list or head.token.kind != "symbol":
+    _, head, *args = node
+    if isinstance(head, list) or _INT_RE.fullmatch(head.group()):
         _err(head, "expression head must be a symbol")
-    name = head.token.text
-    args = node.items[1:]
+    name = head.group()
     if name == "rat":
         if len(args) != 2:
             _err(node, "rat takes a numerator and a denominator")
@@ -174,7 +140,7 @@ def _build_expr(node: _Node) -> RealExpr:
     return op(*map(_build_expr, args))
 
 
-def _build_branch_expr(node: _Node) -> RealExpr:
+def _build_branch_expr(node) -> RealExpr:
     expr = _build_expr(node)
     if expr_arity(expr) > 1:
         _err(node, "relation branches must use only (var 0)")
@@ -207,53 +173,45 @@ SpecAst = Union[ExprSpec, RelSpec, ProbSpec]
 
 def parse_spec(text: str) -> SpecAst:
     """Parse one machine/relation/algorithm specification."""
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ParseError("empty specification", 1, 1)
-    node, pos = _read(tokens, 0)
-    if pos != len(tokens):
-        extra = tokens[pos]
-        raise ParseError("trailing content after specification", extra.line, extra.col)
-    if node.is_list and node.items:
-        head = node.items[0]
-        if not head.is_list and head.token.kind == "symbol":
-            name = head.token.text
-            if name == "tail":
-                exprs = [_build_branch_expr(child) for child in node.items[1:]]
-                if not exprs:
-                    _err(node, "tail needs at least a tail branch")
-                return RelSpec(tuple(exprs[:-1]), exprs[-1])
-            if name == "finite":
-                exprs = [_build_branch_expr(child) for child in node.items[1:]]
-                if not exprs:
-                    _err(node, "finite needs at least one branch")
-                return RelSpec(tuple(exprs), None)
-            if name == "prob":
-                return _build_prob(node)
+    node = _read(text)
+    if isinstance(node, list) and len(node) > 1 and not isinstance(node[1], list):
+        name = node[1].group()
+        if name == "tail":
+            exprs = [_build_branch_expr(child) for child in node[2:]]
+            if not exprs:
+                _err(node, "tail needs at least a tail branch")
+            return RelSpec(tuple(exprs[:-1]), exprs[-1])
+        if name == "finite":
+            exprs = [_build_branch_expr(child) for child in node[2:]]
+            if not exprs:
+                _err(node, "finite needs at least one branch")
+            return RelSpec(tuple(exprs), None)
+        if name == "prob":
+            return _build_prob(node)
     expr = _build_expr(node)
     return ExprSpec(expr, max(1, expr_arity(expr)))
 
 
-def _build_prob(node: _Node) -> ProbSpec:
+def _build_prob(node: list) -> ProbSpec:
     branches = []
-    if len(node.items) < 2:
+    if len(node) < 3:
         _err(node, "prob needs at least one (mass n d expr) branch")
-    for child in node.items[1:]:
-        if not child.is_list or not child.items:
+    for child in node[2:]:
+        if not isinstance(child, list) or len(child) == 1:
             _err(child, "prob branches look like (mass n d expr)")
-        head = child.items[0]
-        if head.is_list or head.token.text != "mass":
+        if isinstance(child[1], list) or child[1].group() != "mass":
             _err(child, "prob branches look like (mass n d expr)")
-        if len(child.items) != 4:
+        if len(child) != 5:
             _err(child, "mass takes a numerator, a denominator and an expression")
-        num = _want_int(child.items[1], "mass numerator")
-        den = _want_int(child.items[2], "mass denominator")
+        _, _, num_node, den_node, expr_node = child
+        num = _want_int(num_node, "mass numerator")
+        den = _want_int(den_node, "mass denominator")
         if den <= 0:
-            _err(child.items[2], "mass denominator must be a positive integer")
+            _err(den_node, "mass denominator must be a positive integer")
         mass = Fraction(num, den)
         if not 0 <= mass <= 1:
-            _err(child.items[1], f"bad mass {num}/{den}: not in [0, 1]")
-        branches.append((mass, _build_branch_expr(child.items[3])))
+            _err(num_node, f"bad mass {num}/{den}: not in [0, 1]")
+        branches.append((mass, _build_branch_expr(expr_node)))
     return ProbSpec(tuple(branches))
 
 

@@ -11,6 +11,7 @@ from realcomp import (
     ChiPos,
     Const,
     IndexSet,
+    IntervalMachine,
     Mul,
     NATURALS,
     NoConvergence,
@@ -273,6 +274,21 @@ def test_a_functional_relation_is_refined_once(monkeypatch):
     listing = enumerate_witnesses(rel, from_rational(F(1, 2)), F(1, 64), 10, 100)
     assert len(calls) == 1
     assert [(e.index, e.value) for e in listing.entries] == [(i, F(3, 2)) for i in range(11)]
+
+
+def test_a_machine_need_not_be_hashable(monkeypatch):
+    class Shift:
+        __hash__ = None
+
+        def __call__(self, query):
+            return apply(shift_machine(1), query)
+
+    calls = counted_refines(monkeypatch)
+    rel = from_function(IntervalMachine(1, Shift(), "unhashable"))
+    listing = enumerate_witnesses(rel, from_rational(F(1, 2)), F(1, 64), 10, 100)
+    assert len(calls) == 1
+    assert [(e.index, e.value) for e in listing.entries] == [(i, F(3, 2)) for i in range(11)]
+    assert member_semi(rel, from_rational(F(1, 2)), from_rational(F(3, 2)), F(1, 64), 10, 100) == 0
 
 
 def test_member_semi_checks_the_window_before_asking_y():
