@@ -46,6 +46,12 @@ class UsageError(ValueError):
     pass
 
 
+# Largest values the command line accepts for its size flags; the library
+# functions behind them take any size.  A natcheck round trip costs about
+# bound^3 characteristic-function calls.
+_FLAG_CAPS = (("fuel", 10**6), ("n", 10**6), ("bound", 100))
+
+
 def _rational_flag(text: str):
     try:
         return parse_rational(text)
@@ -82,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--accuracy", type=_accuracy_flag, required=True,
                            help="target accuracy: n/d or 2^-k")
         p.add_argument("--fuel", type=int, default=1000,
-                       help="refinement step budget (default 1000)")
+                       help="refinement step budget (default 1000, at most 10^6)")
         if max_index:
             p.add_argument("--max-index", type=int, default=10, dest="max_index",
                            help="last index of the search window (default 10)")
@@ -90,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=0, help="sampler seed")
         if n:
             p.add_argument("--n", type=int, default=1000,
-                           help="number of samples (default 1000)")
+                           help="number of samples (default 1000, at most 10^6)")
 
     p = sub.add_parser("eval", help="refine a machine at rational inputs")
     spec_args(p, y=True)
@@ -117,9 +123,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--construction", required=True, choices=["roundtrip"])
     p.add_argument("--relation", required=True, choices=sorted(RELATION_CATALOG))
     p.add_argument("--bound", type=int, required=True,
-                   help="check all pairs with coordinates <= bound")
+                   help="check all pairs with coordinates <= bound (at most 100)")
     p.add_argument("--fuel", type=int, default=10**6,
-                   help="search budget (default 10^6)")
+                   help="search budget (default 10^6, at most 10^6)")
     return parser
 
 
@@ -173,6 +179,10 @@ def _no_convergence(steps_taken: int, all_infinite: bool) -> int:
 
 def run_command(args) -> int:
     """Execute one parsed command; prints results, returns the exit code."""
+    for flag, cap in _FLAG_CAPS:
+        value = getattr(args, flag, None)
+        if value is not None and value > cap:
+            raise UsageError(f"--{flag} must be <= {cap}, got {value}")
     if args.command == "natcheck":
         report = equivalence_report(
             relation_by_name(args.relation), args.bound, args.fuel

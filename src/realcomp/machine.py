@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from math import gcd
 from typing import Callable, Sequence, Union
 
 from .rational import INF, Accuracy, Interval, as_fraction, is_finite
@@ -220,73 +221,144 @@ def domain_neighborhood(
 # ---------------------------------------------------------------------------
 # Interval rules
 #
-# Each rule maps the (approximation, accuracy) pairs of its operands to the
-# pair of its result; literal parameters come first.  Operand accuracies
-# are finite and positive, and so is every result accuracy, except that
-# chi-pos answers INF where it certifies nothing.  The catalog machines
-# below and the compiled expression plans of realcomp.oracle both run
-# these functions, so each formula is written here once.
+# Each rule maps the values of its operands to the value of its result;
+# literal parameters come first, each an integer pair (num, den).  A value
+# is a flat 4-tuple (qn, qd, tn, td) of ints: the approximation qn/qd and
+# the accuracy tn/td, both in lowest terms with positive denominators, so
+# every value is the canonical rational a Fraction would hold.  Operand
+# accuracies are finite and positive, and so is every result accuracy,
+# except that chi-pos answers INF where it certifies nothing; INF is the
+# accuracy 1/0, the only value with td == 0.  The catalog machines below
+# and the compiled expression plans of realcomp.oracle both run these
+# functions, so each formula is written here once; both turn query
+# components into values on the way in (_value) and build a single
+# Answer on the way out (_answer).
 
-_ONE = Fraction(1)
+
+def _radd(an, ad, bn, bd):
+    """an/ad + bn/bd in lowest terms, with the gcd shortcuts of CPython's
+    fractions._add: the gcd of the denominators first, then a second gcd
+    of the sum only against that one."""
+    g = gcd(ad, bd)
+    if g == 1:
+        return an * bd + ad * bn, ad * bd
+    s = ad // g
+    t = an * (bd // g) + bn * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return t, s * bd
+    return t // g2, s * (bd // g2)
 
 
-def _const_rule(value, *args):
+def _rmul(an, ad, bn, bd):
+    """(an/ad) * (bn/bd) in lowest terms, cross-cancelling first as
+    CPython's fractions._mul does."""
+    g1 = gcd(an, bd)
+    if g1 > 1:
+        an //= g1
+        bd //= g1
+    g2 = gcd(bn, ad)
+    if g2 > 1:
+        bn //= g2
+        ad //= g2
+    return an * bn, ad * bd
+
+
+def _half(n, d):
+    """(n/d) / 2 in lowest terms, for n/d in lowest terms: an even n has
+    an odd d, and an odd n stays coprime to 2d."""
+    return (n >> 1, d) if n & 1 == 0 else (n, d << 1)
+
+
+def _value(q: Fraction, tol: Fraction) -> tuple:
+    return q.numerator, q.denominator, tol.numerator, tol.denominator
+
+
+def _answer(value: tuple) -> Answer:
+    qn, qd, tn, td = value
+    return Answer(Fraction(qn, qd), Fraction(tn, td) if td else INF)
+
+
+def _const_rule(c, *args):
     """The constant, at the finest argument tolerance.
 
     The bound cannot be zero (accuracies are strictly positive), so the
     smallest tolerance stands in for it; it still shrinks to zero under
     refinement.
     """
-    return value, min(tol for _, tol in args)
+    _, _, tn, td = args[0]
+    for _, _, un, ud in args[1:]:
+        if un * td < tn * ud:
+            tn, td = un, ud
+    return c[0], c[1], tn, td
 
 
-def _shift_rule(offset, x):
-    q, tol = x
-    return q + offset, tol
+def _shift_rule(c, x):
+    qn, qd, tn, td = x
+    return (*_radd(qn, qd, *c), tn, td)
 
 
-def _scale_rule(factor, x):
-    q, tol = x
-    return factor * q, abs(factor) * tol
+def _scale_rule(c, x):
+    (cn, cd), (qn, qd, tn, td) = c, x
+    return (*_rmul(cn, cd, qn, qd), *_rmul(abs(cn), cd, tn, td))
 
 
 def _neg_rule(x):
-    q, tol = x
-    return -q, tol
+    qn, qd, tn, td = x
+    return -qn, qd, tn, td
 
 
 def _add_rule(x, y):
-    (q1, t1), (q2, t2) = x, y
-    return q1 + q2, t1 + t2
+    (q1n, q1d, t1n, t1d), (q2n, q2d, t2n, t2d) = x, y
+    return (*_radd(q1n, q1d, q2n, q2d), *_radd(t1n, t1d, t2n, t2d))
 
 
 def _sub_rule(x, y):
-    (q1, t1), (q2, t2) = x, y
-    return q1 - q2, t1 + t2
+    (q1n, q1d, t1n, t1d), (q2n, q2d, t2n, t2d) = x, y
+    return (*_radd(q1n, q1d, -q2n, q2d), *_radd(t1n, t1d, t2n, t2d))
 
 
 def _mul_rule(x, y):
-    (q1, t1), (q2, t2) = x, y
-    return q1 * q2, abs(q1) * t2 + abs(q2) * t1 + t1 * t2
+    """q1 q2, with the corner bound |q1| t2 + |q2| t1 + t1 t2.
+
+    The bound is summed as (|q1| + t1) t2 + |q2| t1 over the common
+    denominator q1d t1d q2d t2d and reduced by one final gcd, which is
+    cheaper than three products and two sums each reduced on the way.
+    """
+    (q1n, q1d, t1n, t1d), (q2n, q2d, t2n, t2d) = x, y
+    tn = (abs(q1n) * t1d + t1n * q1d) * q2d * t2n + abs(q2n) * t1n * q1d * t2d
+    td = q1d * t1d * q2d * t2d
+    g = gcd(tn, td)
+    return (*_rmul(q1n, q1d, q2n, q2d), tn // g, td // g)
+
+
+def _rmin(a, b):
+    return b if b[0] * a[1] < a[0] * b[1] else a
+
+
+def _rmax(a, b):
+    return b if b[0] * a[1] > a[0] * b[1] else a
 
 
 def _endpointwise(pick):
     def rule(x, y):
-        (q1, t1), (q2, t2) = x, y
-        lo = pick(q1 - t1, q2 - t2)
-        hi = pick(q1 + t1, q2 + t2)
-        return (lo + hi) / 2, (hi - lo) / 2
+        (q1n, q1d, t1n, t1d), (q2n, q2d, t2n, t2d) = x, y
+        lon, lod = pick(_radd(q1n, q1d, -t1n, t1d), _radd(q2n, q2d, -t2n, t2d))
+        hin, hid = pick(_radd(q1n, q1d, t1n, t1d), _radd(q2n, q2d, t2n, t2d))
+        mid, rad = _radd(lon, lod, hin, hid), _radd(hin, hid, -lon, lod)
+        return (*_half(*mid), *_half(*rad))
 
     return rule
 
 
-_min_rule = _endpointwise(min)
-_max_rule = _endpointwise(max)
+_min_rule = _endpointwise(_rmin)
+_max_rule = _endpointwise(_rmax)
 
 
 def _chi_pos_rule(x):
-    q, tol = x
-    return _ONE, (tol if q - tol > 0 else INF)
+    qn, qd, tn, td = x
+    # q - tol > 0, cross-multiplied over the positive denominators
+    return (1, 1, tn, td) if qn * td > tn * qd else (1, 1, 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +367,7 @@ def _chi_pos_rule(x):
 
 def _rule_machine(rule, arity: int, name: str) -> IntervalMachine:
     def transition(query: Query) -> Answer:
-        return Answer(*rule(*query.components))
+        return _answer(rule(*[_value(q, tol) for q, tol in query.components]))
 
     return IntervalMachine(arity, transition, name=name)
 
@@ -320,13 +392,15 @@ def identity() -> IntervalMachine:
 def const_machine(value, arity: int = 1) -> IntervalMachine:
     """Constant machine; answers the constant at the finest query tolerance."""
     value = as_fraction(value)
-    return _rule_machine(partial(_const_rule, value), arity, f"const({value})")
+    rule = partial(_const_rule, value.as_integer_ratio())
+    return _rule_machine(rule, arity, f"const({value})")
 
 
 def shift_machine(offset) -> IntervalMachine:
     """x + offset for an exact rational offset; tolerance passes through."""
     offset = as_fraction(offset)
-    return _rule_machine(partial(_shift_rule, offset), 1, f"shift({offset})")
+    rule = partial(_shift_rule, offset.as_integer_ratio())
+    return _rule_machine(rule, 1, f"shift({offset})")
 
 
 def scale_machine(factor) -> IntervalMachine:
@@ -334,7 +408,8 @@ def scale_machine(factor) -> IntervalMachine:
     factor = as_fraction(factor)
     if factor == 0:
         raise ValueError("scale factor must be nonzero; use const_machine(0)")
-    return _rule_machine(partial(_scale_rule, factor), 1, f"scale({factor})")
+    rule = partial(_scale_rule, factor.as_integer_ratio())
+    return _rule_machine(rule, 1, f"scale({factor})")
 
 
 def neg_machine() -> IntervalMachine:

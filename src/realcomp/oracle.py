@@ -13,8 +13,10 @@ printing, evaluation and compilation all read that table.
 Compilation interns every subterm, so an expression DAG whose subterms
 are shared (the tree of the logistic iterate k grows as 2^k, its DAG
 as k) becomes a plan with one step per distinct subterm.
-A query runs each step once, on raw (approximation, accuracy) pairs;
-only the query going in and the single answer coming out are validated.
+A query runs each step once, on the integer values of the interval
+rules (realcomp.machine): its components become ints once on the way in,
+and the root's value becomes the single Answer coming out.  Only those
+two are validated.
 A literal operand folds into an exact primitive: "x + 1" is the step
 answering (q + 1, tol), "c * x" scales by c, and an operator of two
 literals is the constant it evaluates to.  A zero factor does not fold:
@@ -24,7 +26,7 @@ literals is the constant it evaluates to.  A zero factor does not fold:
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Sequence
@@ -35,6 +37,7 @@ from .machine import (
     NoConvergence,
     NoConvergenceError,
     _add_rule,
+    _answer,
     _chi_pos_rule,
     _const_rule,
     _max_rule,
@@ -44,6 +47,7 @@ from .machine import (
     _scale_rule,
     _shift_rule,
     _sub_rule,
+    _value,
     refine,
 )
 from .rational import INF, as_fraction
@@ -171,8 +175,50 @@ class _Operator(RealExpr):
     fold = None
     partial = False
 
+    # Equality, hashing and repr are structural, as the dataclass ones
+    # would be, but never recurse: a spec may nest as deep as the parser
+    # allows.  The hash is computed once, from the children's hashes.
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.symbol, *self.children)))
 
-@dataclass(frozen=True)
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        todo, seen = [(self, other)], set()
+        while todo:
+            a, b = todo.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            seen.add((id(a), id(b)))
+            if a.__class__ is not b.__class__ or hash(a) != hash(b):
+                return False
+            if isinstance(a, _Operator):
+                todo.extend(zip(a.children, b.children))
+            elif a != b:
+                return False
+        return True
+
+    def __repr__(self):
+        parts, todo = [], [self]
+        while todo:
+            e = todo.pop()
+            if isinstance(e, str):
+                parts.append(e)
+            elif isinstance(e, _Operator):
+                parts.append(f"{e.__class__.__qualname__}(")
+                todo.append(")")
+                for i, field in reversed(list(enumerate(fields(e)))):
+                    sep = ", " if i else ""
+                    todo += [getattr(e, field.name), f"{sep}{field.name}="]
+            else:
+                parts.append(repr(e))
+        return "".join(parts)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class _Unary(_Operator):
     operand: RealExpr
 
@@ -181,7 +227,7 @@ class _Unary(_Operator):
         return (self.operand,)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class _Binary(_Operator):
     left: RealExpr
     right: RealExpr
@@ -322,9 +368,9 @@ class _Plan:
     """The steps of a compiled expression, in topological order.
 
     Slots 0 .. arity-1 hold the query's components; step i fills slot
-    arity + i by applying its rule to the pairs in its operand slots.
-    Steps are interned on (rule, literal parameters, operand slots), so
-    structurally equal subterms share one slot.
+    arity + i by applying its rule to the values in its operand slots.
+    Steps are interned on (rule, literal parameters as integer pairs,
+    operand slots), so structurally equal subterms share one slot.
     """
 
     def __init__(self, arity: int):
@@ -335,6 +381,7 @@ class _Plan:
         self._seen = {}  # id(expr) -> slot, so a shared object is walked once
 
     def _step(self, rule, params: tuple, operands: tuple) -> int:
+        params = tuple(p.as_integer_ratio() for p in params)
         key = (rule, params, operands)
         slot = self._interned.get(key)
         if slot is None:
@@ -377,13 +424,13 @@ class _Plan:
         steps = tuple(self.steps)
 
         def transition(query) -> Answer:
-            vals = list(query.components)
+            vals = [_value(q, tol) for q, tol in query.components]
             for rule, operands in steps:
                 value = rule(*[vals[k] for k in operands])
                 # an uncertified operand leaves nothing to certify above it
-                if value[1] is INF and len(vals) != root:
+                if not value[3] and len(vals) != root:
                     return Answer(Fraction(0), INF)
                 vals.append(value)
-            return Answer(*vals[root])
+            return _answer(vals[root])
 
         return IntervalMachine(self.arity, transition, name=f"plan({len(steps)} steps)")

@@ -1,5 +1,6 @@
 """Shared helpers: seeded rational and expression sampling, the
-soundness harness, and the catalog-tree reference compiler."""
+soundness harness, the catalog-tree reference compiler, and the
+interval rules restated on Fractions."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ from dataclasses import fields
 from fractions import Fraction
 
 from realcomp import (
+    INF,
     Add,
     ChiPos,
     Const,
@@ -172,3 +174,33 @@ def soundness_violations(machine, expr, rng: random.Random, samples: int) -> int
         if abs(value - answer.value) > answer.accuracy:
             violations += 1
     return violations
+
+
+# The interval rules on Fractions, written as plain rational formulas and
+# independent of the integer-pair kernel in realcomp.machine, which must
+# agree with them exactly.  Each maps (approximation, accuracy) pairs to a
+# pair; literal parameters come first.
+
+
+def _fraction_endpointwise(pick):
+    def rule(x, y):
+        (q1, t1), (q2, t2) = x, y
+        lo = pick(q1 - t1, q2 - t2)
+        hi = pick(q1 + t1, q2 + t2)
+        return (lo + hi) / 2, (hi - lo) / 2
+
+    return rule
+
+
+FRACTION_RULES = {
+    "const": lambda value, *args: (value, min(tol for _, tol in args)),
+    "shift": lambda offset, x: (x[0] + offset, x[1]),
+    "scale": lambda factor, x: (factor * x[0], abs(factor) * x[1]),
+    "neg": lambda x: (-x[0], x[1]),
+    "add": lambda x, y: (x[0] + y[0], x[1] + y[1]),
+    "sub": lambda x, y: (x[0] - y[0], x[1] + y[1]),
+    "mul": lambda x, y: (x[0] * y[0], abs(x[0]) * y[1] + abs(y[0]) * x[1] + x[1] * y[1]),
+    "min": _fraction_endpointwise(min),
+    "max": _fraction_endpointwise(max),
+    "chi-pos": lambda x: (Fraction(1), x[1] if x[0] - x[1] > 0 else INF),
+}

@@ -249,6 +249,22 @@ def test_usage_errors_exit_2(capsys, spec_file):
         capsys, ["eval", "--spec", "/nonexistent/x.sexp", "--x", "1", "--accuracy", "1/4"]
     )
     assert code == 2
+    # size caps: --fuel and --n at most 10^6, natcheck --bound at most 100;
+    # --fuel at its cap is accepted where the run converges at once
+    path = spec_file(CHI_SPEC)
+    argv = ["eval", "--spec", path, "--x", "1", "--accuracy", "1/4", "--fuel"]
+    assert run_cli(capsys, argv + ["1000000"]) == (0, "r=1 eps=1/4\n", "")
+    assert run_cli(capsys, argv + ["1000001"]) == (
+        2, "", "error: --fuel must be <= 1000000, got 1000001\n")
+    path = spec_file(PROB_SPEC)
+    argv = ["freq", "--spec", path, "--x", "0", "--accuracy", "1/4", "--n"]
+    assert run_cli(capsys, argv + ["1000001"]) == (
+        2, "", "error: --n must be <= 1000000, got 1000001\n")
+    argv = ["natcheck", "--construction", "roundtrip", "--relation", "geq", "--bound"]
+    assert run_cli(capsys, argv + ["101"]) == (
+        2, "", "error: --bound must be <= 100, got 101\n")
+    assert run_cli(capsys, argv + ["5", "--fuel", "1000001"]) == (
+        2, "", "error: --fuel must be <= 1000000, got 1000001\n")
 
 
 def test_missing_second_argument_is_a_usage_error(capsys, spec_file):

@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from realcomp import (
     INF,
@@ -38,8 +41,21 @@ from realcomp import (
     scale_machine,
     shift_machine,
 )
+from realcomp.machine import (
+    _add_rule,
+    _chi_pos_rule,
+    _const_rule,
+    _max_rule,
+    _min_rule,
+    _mul_rule,
+    _neg_rule,
+    _scale_rule,
+    _shift_rule,
+    _sub_rule,
+)
 
 from helpers import (
+    FRACTION_RULES,
     SOUNDNESS_CATALOG,
     rand_fraction,
     rand_positive,
@@ -358,3 +374,80 @@ def test_chi_pos_finite_answers_certify_positivity():
             assert q - tol > 0
             assert ans.value == 1
     assert finite_seen > 0
+
+
+# --- the integer-pair kernel against the Fraction reference ------------------------
+
+# (name, kernel rule, literal parameters, operands; None for 1 to 3)
+KERNEL_RULES = [
+    ("const", _const_rule, 1, None),
+    ("shift", _shift_rule, 1, 1),
+    ("scale", _scale_rule, 1, 1),
+    ("neg", _neg_rule, 0, 1),
+    ("add", _add_rule, 0, 2),
+    ("sub", _sub_rule, 0, 2),
+    ("mul", _mul_rule, 0, 2),
+    ("min", _min_rule, 0, 2),
+    ("max", _max_rule, 0, 2),
+    ("chi-pos", _chi_pos_rule, 0, 1),
+]
+
+# 1- to 2000-bit magnitudes, nonzero values of either sign, and all values
+magnitudes = st.integers(0, 1999).flatmap(lambda b: st.integers(1 << b, (2 << b) - 1))
+nonzero = st.one_of(magnitudes, magnitudes.map(lambda n: -n))
+signed = st.one_of(st.just(0), nonzero)
+
+
+def draw_rational(data, dens, numerators=signed):
+    """A rational over one of the drawn denominators, so that operands
+    often share a denominator; dens holds 1, so integers are common."""
+    return F(data.draw(numerators), data.draw(st.sampled_from(dens)))
+
+
+def draw_denominators(data):
+    return [1] + data.draw(st.lists(magnitudes, min_size=1, max_size=3))
+
+
+def check_kernel(name, rule, params, operands):
+    """The kernel rule on int pairs gives exactly the reference result, in
+    lowest terms with a positive denominator, and INF as td == 0."""
+    got = rule(*[p.as_integer_ratio() for p in params],
+               *[(*q.as_integer_ratio(), *t.as_integer_ratio()) for q, t in operands])
+    want_q, want_t = FRACTION_RULES[name](*params, *operands)
+    assert len(got) == 4 and all(type(v) is int for v in got)
+    qn, qd, tn, td = got
+    assert (qn, qd) == want_q.as_integer_ratio()
+    assert gcd(qn, qd) == 1 and qd > 0
+    if want_t is INF:
+        assert td == 0
+    else:
+        assert (tn, td) == want_t.as_integer_ratio()
+        assert gcd(tn, td) == 1 and td > 0
+    return got
+
+
+@pytest.mark.parametrize("name,rule,n_params,n_operands", KERNEL_RULES,
+                         ids=[name for name, *_ in KERNEL_RULES])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_kernel_rules_match_the_fraction_reference(name, rule, n_params, n_operands, data):
+    dens = draw_denominators(data)
+    if n_operands is None:
+        n_operands = data.draw(st.integers(1, 3))
+    # a zero factor never reaches scale: the catalog refuses it, plans keep mul
+    literals = nonzero if name == "scale" else signed
+    params = [draw_rational(data, dens, literals) for _ in range(n_params)]
+    operands = [(draw_rational(data, dens), draw_rational(data, dens, magnitudes))
+                for _ in range(n_operands)]
+    check_kernel(name, rule, params, operands)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), side=st.sampled_from([-1, 0, 1]))
+def test_chi_pos_kernel_below_at_and_above_the_boundary(data, side):
+    # q - tol is below 0, exactly 0, or above 0
+    dens = draw_denominators(data)
+    tol = draw_rational(data, dens, magnitudes)
+    q = tol + side * draw_rational(data, dens, magnitudes)
+    *_, td = check_kernel("chi-pos", _chi_pos_rule, [], [(q, tol)])
+    assert (td != 0) == (side > 0)

@@ -11,6 +11,7 @@ from realcomp import (
     Const,
     Converged,
     Mul,
+    Neg,
     NoConvergence,
     NoConvergenceError,
     Query,
@@ -204,6 +205,26 @@ def test_compiling_is_linear_in_the_dag():
     machine = expr_to_machine(chain.expr, 1)
     outcome = refine(machine, [from_rational(F(1, 3))], F(1, 4), 20)
     assert outcome == Converged(F(0), F(1, 4), steps=12)
+
+
+def test_equality_hash_and_repr_do_not_recurse():
+    # 511 operators under the parser's nesting cap, deeper than the
+    # recursion limit allows a recursive ==, hash or repr to go
+    depth = 511
+    for text, item in (
+        ("(neg " * depth, "Neg(operand="),
+        ("(sub (var 0) " * depth, "Sub(left=Var(index=0), right="),
+    ):
+        spec = text + "(var 0)" + ")" * depth
+        e = parse_spec(spec).expr
+        again = parse_spec(spec).expr
+        assert e == again and not e != again
+        assert hash(e) == hash(again)
+        assert repr(e) == item * depth + "Var(index=0)" + ")" * depth
+        # differs only at the bottom
+        assert parse_spec(text + "(var 1)" + ")" * depth).expr != e
+    assert repr(Add(Const(F(1, 2)), Neg(Var(1)))) == (
+        "Add(left=Const(value=Fraction(1, 2)), right=Neg(operand=Var(index=1)))")
 
 
 def test_arity_and_exact_evaluation_are_linear_in_the_dag():
