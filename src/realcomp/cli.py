@@ -46,10 +46,12 @@ class UsageError(ValueError):
     pass
 
 
-# Largest values the command line accepts for its size flags; the library
-# functions behind them take any size.  A natcheck round trip costs about
-# bound^3 characteristic-function calls.
-_FLAG_CAPS = (("fuel", 10**6), ("n", 10**6), ("bound", 100))
+# Largest values the command line accepts for its size flags, by argparse
+# dest; the library functions behind them take any size.  A natcheck round
+# trip on geq at bound 100 makes 525,402 characteristic-function calls
+# (13,117,678 when each related pair re-ran its own search), and enumerate
+# keeps one entry per index up to --max-index.
+_FLAG_CAPS = (("fuel", 10**6), ("n", 10**6), ("bound", 100), ("max_index", 10**5))
 
 
 def _rational_flag(text: str):
@@ -91,7 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="refinement step budget (default 1000, at most 10^6)")
         if max_index:
             p.add_argument("--max-index", type=int, default=10, dest="max_index",
-                           help="last index of the search window (default 10)")
+                           help="last index of the search window "
+                           "(default 10, at most 10^5)")
         if seed:
             p.add_argument("--seed", type=int, default=0, help="sampler seed")
         if n:
@@ -182,7 +185,8 @@ def run_command(args) -> int:
     for flag, cap in _FLAG_CAPS:
         value = getattr(args, flag, None)
         if value is not None and value > cap:
-            raise UsageError(f"--{flag} must be <= {cap}, got {value}")
+            raise UsageError(
+                f"--{flag.replace('_', '-')} must be <= {cap}, got {value}")
     if args.command == "natcheck":
         report = equivalence_report(
             relation_by_name(args.relation), args.bound, args.fuel

@@ -244,28 +244,28 @@ def equivalence_report(
 ) -> EquivalenceReport:
     """Check the round trip on every pair with both coordinates <= bound.
 
-    Builds semi = dec_to_semi(rel), enum = semi_to_enum(semi) and
-    search = enum_to_semi(enum), then checks, for every pair (x, y) in
-    the square, that char(x, y) = 1 iff search halts with 1 within fuel.
+    Builds enum = semi_to_enum(dec_to_semi(rel)) and checks, for every
+    pair (x, y) in the square, that char(x, y) = 1 iff the search program
+    enum_to_semi(enum) halts with 1 on (x, y) within fuel.  That program
+    halts on (x, y) at fuel f exactly when some slot j <= f of row x
+    produces y, so the report runs each row's search once instead of once
+    per pair: it computes row x's slots j = 0, 1, ... in order, and the
+    first slot that produces a related y is that pair's least accepting
+    fuel.  The scan stops once every related y of the row has been seen,
+    or past the budget, where the related y still unseen are missed.
 
-    Positive pairs are executed directly: the search program is run at
-    the minimal accepting fuel (found by probing the enumerator, whose
-    acceptance is monotone in the step count encoded in each slot), which
-    settles acceptance at the full budget by fuel monotonicity.  Negative
-    pairs would cost a full fuel-length scan each to reject by brute
-    force; instead the decisive slot — the largest step count the budget
-    can encode for that y — is computed from the pairing function and the
-    enumerator is probed there, which by the same monotonicity is exactly
-    the scan's outcome.  Test code cross-checks this shortcut against
-    direct scans at reduced fuel.
+    A negative pair would cost a full fuel-length scan to reject; instead
+    the decisive slot for y, pair(y, i) with i the largest step count the
+    budget can encode for y, is probed once.  Slots for y at smaller step
+    counts produce y only if this one does (halting is monotone in fuel),
+    so the probe is exactly the scan's outcome.
     """
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
     if fuel < 0:
         raise ValueError(f"fuel must be >= 0, got {fuel}")
-    semi = dec_to_semi(rel)
-    enum = semi_to_enum(semi)
-    search = enum_to_semi(enum)
+    enumerate_fn = semi_to_enum(dec_to_semi(rel)).enumerate_fn
+    decisive = [_max_index_within(y, fuel) for y in range(bound + 1)]
 
     agreements = 0
     false_accepts = 0
@@ -274,31 +274,24 @@ def equivalence_report(
     total = (bound + 1) ** 2
 
     for x in range(bound + 1):
-        for y in range(bound + 1):
-            expected = rel.char_fn(x, y) == 1
-            i_max = _max_index_within(y, fuel)
-            if expected:
-                accepted = False
-                if i_max is not None:
-                    least = _least_accepting_step(enum, x, y, i_max)
-                    if least is not None:
-                        j_min = pair(y, least)
-                        # run the composed search program for real at the
-                        # minimal fuel; monotonicity extends the verdict
-                        # to the full budget
-                        accepted = search.program.run((x, y), j_min) == 1
-                if accepted:
-                    agreements += 1
-                    if max_fuel is None or j_min > max_fuel:
-                        max_fuel = j_min
-                else:
-                    missed_positives += 1
+        unseen = set()
+        for y, i_max in enumerate(decisive):
+            if rel.char_fn(x, y) == 1:
+                unseen.add(y)
+            elif i_max is not None and enumerate_fn(x, pair(y, i_max)) == y:
+                false_accepts += 1
             else:
-                hit = i_max is not None and enum.enumerate(x, pair(y, i_max)) == y
-                if hit:
-                    false_accepts += 1
-                else:
-                    agreements += 1
+                agreements += 1
+        j = 0
+        while unseen and j <= fuel:
+            y = enumerate_fn(x, j)
+            if y in unseen:
+                unseen.remove(y)
+                agreements += 1
+                if max_fuel is None or j > max_fuel:
+                    max_fuel = j
+            j += 1
+        missed_positives += len(unseen)
 
     return EquivalenceReport(
         relation=rel.name,
@@ -310,24 +303,6 @@ def equivalence_report(
         missed_positives=missed_positives,
         max_fuel_on_positives=max_fuel,
     )
-
-
-def _least_accepting_step(
-    enum: EnumerableNatRel, x: int, y: int, i_max: int
-) -> Optional[int]:
-    """Least i <= i_max whose slot pair(y, i) produces y, if any."""
-    if enum.enumerate(x, pair(y, 0)) == y:
-        return 0
-    if enum.enumerate(x, pair(y, i_max)) != y:
-        return None
-    lo, hi = 1, i_max
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if enum.enumerate(x, pair(y, mid)) == y:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
 
 
 # ---------------------------------------------------------------------------

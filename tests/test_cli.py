@@ -265,6 +265,17 @@ def test_usage_errors_exit_2(capsys, spec_file):
         2, "", "error: --bound must be <= 100, got 101\n")
     assert run_cli(capsys, argv + ["5", "--fuel", "1000001"]) == (
         2, "", "error: --fuel must be <= 1000000, got 1000001\n")
+    # --max-index at most 10^5, named as typed; a finite relation clips the
+    # window, so the cap itself is accepted at no cost
+    path = spec_file("(finite (var 0))")
+    refused = (2, "", "error: --max-index must be <= 100000, got 100001\n")
+    argv = ["enumerate", "--spec", path, "--x", "1", "--accuracy", "1/4", "--max-index"]
+    assert run_cli(capsys, argv + ["100000"]) == (0, "i=0 r=1 eps=1/4\n", "")
+    assert run_cli(capsys, argv + ["100001"]) == refused
+    argv = ["member", "--spec", path, "--x", "1", "--y", "1", "--accuracy", "1/4",
+            "--max-index"]
+    assert run_cli(capsys, argv + ["100000"]) == (0, "found=true index=0\n", "")
+    assert run_cli(capsys, argv + ["100001"]) == refused
 
 
 def test_missing_second_argument_is_a_usage_error(capsys, spec_file):

@@ -2,12 +2,13 @@ import random
 from math import isqrt
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from realcomp import (
     FAIL,
     DecidableNatRel,
+    EquivalenceReport,
     dec_to_semi,
     enum_to_semi,
     equivalence_report,
@@ -173,16 +174,69 @@ def test_round_trip_never_accepts_a_rejected_pair():
 # --- the equivalence report -------------------------------------------------------
 
 
-def brute_force_report_agreements(rel, bound, fuel):
-    """Independent oracle: run the composed search program on every pair."""
-    search = enum_to_semi(semi_to_enum(dec_to_semi(rel)))
-    agreements = 0
+def brute_force_report(rel, bound, fuel):
+    """Independent oracle: run the composed search program on every pair.
+
+    An accepted pair's least fuel is found by trying each fuel upward.
+    """
+    run = enum_to_semi(semi_to_enum(dec_to_semi(rel))).program.run
+    agreements = false_accepts = missed = 0
+    least_fuels = []
     for x in range(bound + 1):
         for y in range(bound + 1):
             expected = rel.char_fn(x, y) == 1
-            accepted = search.program.run((x, y), fuel) == 1
-            agreements += expected == accepted
-    return agreements
+            accepted = run((x, y), fuel) == 1
+            if expected == accepted:
+                agreements += 1
+            elif accepted:
+                false_accepts += 1
+            else:
+                missed += 1
+            if expected and accepted:
+                least_fuels.append(
+                    next(f for f in range(fuel + 1) if run((x, y), f) == 1)
+                )
+    return EquivalenceReport(
+        relation=rel.name,
+        bound=bound,
+        fuel=fuel,
+        total=(bound + 1) ** 2,
+        agreements=agreements,
+        false_accepts=false_accepts,
+        missed_positives=missed,
+        max_fuel_on_positives=max(least_fuels, default=None),
+    )
+
+
+@st.composite
+def truth_tables(draw):
+    """A relation given by a table on [0, bound]^2, related outside it.
+
+    Each row of the table is empty, full, the diagonal's, or random.
+    """
+    bound = draw(st.integers(min_value=0, max_value=6))
+    n = bound + 1
+    rows = [
+        draw(st.one_of(
+            st.just([False] * n),
+            st.just([True] * n),
+            st.just([y == x for y in range(n)]),
+            st.lists(st.booleans(), min_size=n, max_size=n),
+        ))
+        for x in range(n)
+    ]
+
+    def char(x, y):
+        return int(rows[x][y]) if x <= bound and y <= bound else 1
+
+    return DecidableNatRel(char, name="table"), bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=truth_tables(), fuel=st.integers(min_value=0, max_value=44))
+def test_equivalence_report_equals_brute_force_on_random_relations(table, fuel):
+    rel, bound = table
+    assert equivalence_report(rel, bound, fuel) == brute_force_report(rel, bound, fuel)
 
 
 @pytest.mark.parametrize("name", ["divisibility", "equality", "geq"])
@@ -190,7 +244,7 @@ def test_equivalence_report_matches_direct_execution_at_small_scale(name):
     rel = relation_by_name(name)
     bound, fuel = 8, 2000
     report = equivalence_report(rel, bound, fuel)
-    assert report.agreements == brute_force_report_agreements(rel, bound, fuel)
+    assert report.agreements == brute_force_report(rel, bound, fuel).agreements
     assert report.total == (bound + 1) ** 2
 
 
@@ -203,6 +257,30 @@ def test_equivalence_report_full_agreement_at_bound_40():
         assert report.total == 41 * 41
         # every positive is accepted at the recorded fuel, re-run directly
         assert report.max_fuel_on_positives == 820  # pair(40, 0)
+        # and no less: one fuel short, some related (x, 40) is still running
+        rel = relation_by_name(name)
+        search = enum_to_semi(semi_to_enum(dec_to_semi(rel)))
+        assert any(
+            search.program.run((x, 40), 819) is None
+            for x in range(41)
+            if rel.char_fn(x, 40) == 1
+        )
+
+
+def test_equivalence_report_runs_each_row_search_once():
+    # re-running the search from slot 0 for every related pair makes
+    # 362,973 characteristic-function calls here
+    geq = relation_by_name("geq")
+    calls = 0
+
+    def counted(x, y):
+        nonlocal calls
+        calls += 1
+        return geq.char_fn(x, y)
+
+    report = equivalence_report(DecidableNatRel(counted, name="geq"), 40, 10**6)
+    assert report.ok
+    assert calls <= 40_000
 
 
 def test_equivalence_report_positive_fuel_is_sufficient_directly():
