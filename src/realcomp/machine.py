@@ -11,21 +11,22 @@ Soundness contract: whenever the answer to a query is ``(r, eps)`` with
 component within its tolerance of its approximation) at which the
 function is defined has its true function value within ``eps`` of ``r``.
 
-Refinement drives a machine along the canonical tolerance schedule
-``2^-n`` until the answer accuracy meets a target.  Divergence can only
-be observed up to an explicit fuel budget; running out of fuel is
-evidence of undefinedness, never proof.
+Refinement drives a machine's integer step along the canonical tolerance
+schedule ``2^-n`` until the answer accuracy meets a target; Query and
+Answer are validated at ``apply`` and around hand-built transitions.
+Divergence can only be observed up to an explicit fuel budget; running
+out of fuel is evidence of undefinedness, never proof.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from math import gcd
 from typing import Callable, Sequence, Union
 
-from .rational import INF, Accuracy, Interval, as_fraction, is_finite
+from .rational import INF, Accuracy, Interval, as_fraction
 
 __all__ = [
     "Query",
@@ -100,14 +101,35 @@ class Answer:
 
 @dataclass(frozen=True)
 class IntervalMachine:
-    """A pure total transition from queries of a fixed arity to answers."""
+    """A pure total transition from queries of a fixed arity to answers.
+
+    refine, domain_neighborhood and compose drive its integer step (see
+    the interval rules); a transition given here is adapted to one once.
+    """
 
     arity: int
     transition: Callable[[Query], Answer]
     name: str = "machine"
+    _step: Callable[..., tuple] = field(default=None, compare=False)
+
+    def __post_init__(self):
+        if self._step is None:
+            object.__setattr__(self, "_step", _adapted_step(self.transition))
 
     def __repr__(self):
         return f"<machine {self.name}/{self.arity}>"
+
+
+def _adapted_step(transition):
+    def step(*values):
+        answer = transition(Query(tuple(
+            (Fraction(qn, qd), Fraction(tn, td)) for qn, qd, tn, td in values
+        )))
+        if answer.accuracy is INF:
+            return answer.value.numerator, answer.value.denominator, 1, 0
+        return _value(answer.value, answer.accuracy)
+
+    return step
 
 
 def apply(machine: IntervalMachine, query: Query) -> Answer:
@@ -176,21 +198,23 @@ def refine(
     Each step n asks every argument oracle for an approximation at
     tolerance 2^-n and feeds the machine the resulting query.  Returns
     Converged at the first step whose answer has a finite accuracy at or
-    below the target, NoConvergence once fuel is spent.
+    below the target, NoConvergence once fuel is spent.  Arguments are
+    validated once; then each step runs the machine's integer step.
     """
     target = as_fraction(target)
     if target <= 0:
         raise ValueError(f"target accuracy must be positive, got {target}")
     _check_refine_args(machine, oracles, fuel)
+    step, gn, gd = machine._step, target.numerator, target.denominator
     all_infinite = True
     for n in range(fuel):
         tol = Fraction(1, 1 << n)
-        approxes = [oracle(tol) for oracle in oracles]
-        answer = apply(machine, Query(tuple((q, tol) for q in approxes)))
-        if is_finite(answer.accuracy):
+        approxes = [as_fraction(oracle(tol)) for oracle in oracles]
+        qn, qd, tn, td = step(*[(q.numerator, q.denominator, 1, 1 << n) for q in approxes])
+        if td:
             all_infinite = False
-            if answer.accuracy <= target:
-                return Converged(answer.value, answer.accuracy, n + 1)
+            if tn * gd <= gn * td:
+                return Converged(Fraction(qn, qd), Fraction(tn, td), n + 1)
     return NoConvergence(fuel, all_infinite)
 
 
@@ -205,14 +229,16 @@ def domain_neighborhood(
     oracles at 2^-n but queries the machine at tolerance 2^-(n-1).  At the
     first finite answer the query boxes themselves are neighborhoods of
     the true inputs lying inside the machine's domain of definition, and
-    they are returned as one closed interval per argument.
+    they are returned as one closed interval per argument.  The machine
+    runs on its integer step, as in refine.
     """
     _check_refine_args(machine, oracles, fuel)
+    step = machine._step
     for n in range(fuel):
         tol = Fraction(1, 1 << n)
-        approxes = [oracle(tol) for oracle in oracles]
-        answer = apply(machine, Query(tuple((q, 2 * tol) for q in approxes)))
-        if is_finite(answer.accuracy):
+        approxes = [as_fraction(oracle(tol)) for oracle in oracles]
+        wn, wd = (2, 1) if n == 0 else (1, 1 << (n - 1))
+        if step(*[(q.numerator, q.denominator, wn, wd) for q in approxes])[3]:
             return [Interval(q - 2 * tol, q + 2 * tol) for q in approxes]
     # falling through means every doubled-tolerance answer was infinite
     return NoConvergence(fuel, True)
@@ -230,9 +256,9 @@ def domain_neighborhood(
 # except that chi-pos answers INF where it certifies nothing; INF is the
 # accuracy 1/0, the only value with td == 0.  The catalog machines below
 # and the compiled expression plans of realcomp.oracle both run these
-# functions, so each formula is written here once; both turn query
-# components into values on the way in (_value) and build a single
-# Answer on the way out (_answer).
+# functions, so each formula is written here once.  A machine's integer
+# step is such a rule on its query's values; its transition turns the
+# components into values (_value) and the result into an Answer (_answer).
 
 
 def _radd(an, ad, bn, bd):
@@ -366,22 +392,19 @@ def _chi_pos_rule(x):
 
 
 def _rule_machine(rule, arity: int, name: str) -> IntervalMachine:
+    """The machine whose integer step is `rule`, with the derived transition."""
+
     def transition(query: Query) -> Answer:
         return _answer(rule(*[_value(q, tol) for q, tol in query.components]))
 
-    return IntervalMachine(arity, transition, name=name)
+    return IntervalMachine(arity, transition, name, rule)
 
 
 def proj(index: int, arity: int) -> IntervalMachine:
     """Projection onto argument `index`: answers its component unchanged."""
     if not 0 <= index < arity:
         raise ValueError(f"projection index {index} out of range for arity {arity}")
-
-    def transition(query: Query) -> Answer:
-        q, tol = query.components[index]
-        return Answer(q, tol)
-
-    return IntervalMachine(arity, transition, name=f"proj{index}")
+    return _rule_machine(lambda *values: values[index], arity, f"proj{index}")
 
 
 def identity() -> IntervalMachine:
@@ -456,6 +479,7 @@ def compose(outer: IntervalMachine, inners: Sequence[IntervalMachine]) -> Interv
     Inner answer (r, eps) becomes the outer query component (r, eps); a
     single infinite inner answer makes the composite answer (0, INF)
     immediately, since the outer machine would have nothing to certify.
+    The inner steps' values feed the outer step unconverted.
     """
     inners = tuple(inners)
     if outer.arity != len(inners):
@@ -470,17 +494,19 @@ def compose(outer: IntervalMachine, inners: Sequence[IntervalMachine]) -> Interv
         if m.arity != arity:
             raise ValueError("inner machines must share one arity")
 
-    def transition(query: Query) -> Answer:
+    outer_step, inner_steps = outer._step, tuple(m._step for m in inners)
+
+    def step(*values):
         fed = []
-        for inner in inners:
-            ans = inner.transition(query)
-            if not is_finite(ans.accuracy):
-                return Answer(Fraction(0), INF)
-            fed.append((ans.value, ans.accuracy))
-        return outer.transition(Query(tuple(fed)))
+        for inner in inner_steps:
+            value = inner(*values)
+            if not value[3]:
+                return 0, 1, 1, 0
+            fed.append(value)
+        return outer_step(*fed)
 
     name = f"{outer.name}({', '.join(m.name for m in inners)})"
-    return IntervalMachine(arity, transition, name=name)
+    return _rule_machine(step, arity, name)
 
 
 @dataclass(frozen=True)

@@ -258,7 +258,9 @@ def equivalence_report(
     the decisive slot for y, pair(y, i) with i the largest step count the
     budget can encode for y, is probed once.  Slots for y at smaller step
     counts produce y only if this one does (halting is monotone in fuel),
-    so the probe is exactly the scan's outcome.
+    so the probe is exactly the scan's outcome.  It is also the only
+    check that catches a construction producing y on an unrelated pair,
+    such as a semi-decision that halts everywhere.
     """
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")

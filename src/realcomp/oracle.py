@@ -13,10 +13,9 @@ printing, evaluation and compilation all read that table.
 Compilation interns every subterm, so an expression DAG whose subterms
 are shared (the tree of the logistic iterate k grows as 2^k, its DAG
 as k) becomes a plan with one step per distinct subterm.
-A query runs each step once, on the integer values of the interval
-rules (realcomp.machine): its components become ints once on the way in,
-and the root's value becomes the single Answer coming out.  Only those
-two are validated.
+A plan is an integer step (realcomp.machine) that runs each of its
+steps once on the values of the interval rules; refinement feeds it
+values directly, and only a public transition call converts a Query.
 A literal operand folds into an exact primitive: "x + 1" is the step
 answering (q + 1, tol), "c * x" scales by c, and an operator of two
 literals is the constant it evaluates to.  A zero factor does not fold:
@@ -32,25 +31,23 @@ from functools import partial
 from typing import Callable, Sequence
 
 from .machine import (
-    Answer,
     IntervalMachine,
     NoConvergence,
     NoConvergenceError,
     _add_rule,
-    _answer,
     _chi_pos_rule,
     _const_rule,
     _max_rule,
     _min_rule,
     _mul_rule,
     _neg_rule,
+    _rule_machine,
     _scale_rule,
     _shift_rule,
     _sub_rule,
-    _value,
     refine,
 )
-from .rational import INF, as_fraction
+from .rational import as_fraction
 
 __all__ = [
     "RealOracle",
@@ -423,14 +420,14 @@ class _Plan:
     def machine(self, root: int) -> IntervalMachine:
         steps = tuple(self.steps)
 
-        def transition(query) -> Answer:
-            vals = [_value(q, tol) for q, tol in query.components]
+        def step(*values):
+            vals = list(values)
             for rule, operands in steps:
                 value = rule(*[vals[k] for k in operands])
                 # an uncertified operand leaves nothing to certify above it
                 if not value[3] and len(vals) != root:
-                    return Answer(Fraction(0), INF)
+                    return 0, 1, 1, 0
                 vals.append(value)
-            return _answer(vals[root])
+            return vals[root]
 
-        return IntervalMachine(self.arity, transition, name=f"plan({len(steps)} steps)")
+        return _rule_machine(step, self.arity, f"plan({len(steps)} steps)")

@@ -19,9 +19,11 @@ from realcomp import (
     Mul,
     NoConvergence,
     Query,
+    RealOracle,
     Var,
     add_machine,
     apply,
+    apply_machine,
     chi_pos,
     compose,
     const_machine,
@@ -260,6 +262,31 @@ def test_refine_validates_inputs():
         refine(identity(), [from_rational(0)], F(0), 10)
     with pytest.raises(ValueError):
         refine(identity(), [from_rational(0)], F(1, 2), 0)
+
+
+def test_refine_and_domain_refuse_float_approximations():
+    for oracle in (RealOracle(lambda tol: 0.5), lambda tol: 0.5):
+        with pytest.raises(TypeError, match="exact rational"):
+            refine(identity(), [oracle], F(1, 8), 10)
+        with pytest.raises(TypeError, match="exact rational"):
+            domain_neighborhood(identity(), [oracle], 10)
+        with pytest.raises(TypeError, match="exact rational"):
+            apply_machine(identity(), [oracle], 10)(F(1, 8))
+
+
+def test_refine_and_domain_accept_int_approximations():
+    oracle = RealOracle(lambda tol: 1)
+    assert refine(identity(), [oracle], F(1, 8), 10) == Converged(F(1), F(1, 8), 4)
+    assert domain_neighborhood(identity(), [oracle], 10) == [Interval(F(-1), F(3))]
+    assert apply_machine(identity(), [oracle], 10)(F(1, 8)) == 1
+
+
+def test_refine_keeps_validating_hand_built_answers():
+    def zero_accuracy(query):
+        return Answer(query.components[0][0], 0)
+
+    with pytest.raises(ValueError, match="finite accuracy must be positive"):
+        refine(IntervalMachine(1, zero_accuracy), [from_rational(0)], F(1, 2), 10)
 
 
 # --- domain neighborhoods ------------------------------------------------------

@@ -18,7 +18,8 @@ from realcomp import (
     semi_to_enum_nonempty,
     unpair,
 )
-from realcomp.natrel import EnumerableNatRel
+from realcomp import natrel
+from realcomp.natrel import EnumerableNatRel, FueledProgram, SemiDecidableNatRel
 
 naturals = st.integers(min_value=0, max_value=10**6)
 
@@ -297,6 +298,30 @@ def test_equivalence_report_detects_insufficient_fuel():
     assert not report.ok
     assert report.missed_positives > 0
     assert report.false_accepts == 0
+
+
+def test_equivalence_report_counts_a_construction_that_accepts_unrelated_pairs(monkeypatch):
+    # A faulty decide -> semi-decide step whose program halts on every
+    # pair makes the enumeration produce each y in every row.  Only the
+    # decisive-slot probe on negative pairs can see that: without it the
+    # report reads 36/36 OK.
+    def halts_everywhere(rel):
+        always = FueledProgram(lambda args, fuel: 1, name=f"always({rel.name})")
+        return SemiDecidableNatRel(always, name=rel.name)
+
+    monkeypatch.setattr(natrel, "dec_to_semi", halts_everywhere)
+    report = equivalence_report(relation_by_name("geq"), 5, 100)
+    assert report == EquivalenceReport(
+        relation="geq",
+        bound=5,
+        fuel=100,
+        total=36,
+        agreements=21,
+        false_accepts=15,
+        missed_positives=0,
+        max_fuel_on_positives=15,  # pair(5, 0): every slot produces its y
+    )
+    assert not report.ok
 
 
 def test_unknown_relation_name_is_rejected():

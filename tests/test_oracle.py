@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from realcomp import (
     ChiPos,
     Const,
     Converged,
+    IntervalMachine,
     Mul,
     Neg,
     NoConvergence,
@@ -21,6 +23,8 @@ from realcomp import (
     apply,
     apply_machine,
     chi_pos,
+    compose,
+    domain_neighborhood,
     eval_expr,
     expr_arity,
     expr_to_machine,
@@ -186,6 +190,65 @@ def test_plans_answer_exactly_like_the_catalog_tree():
         assert soundness_violations(plan, expr, rng, 10) == 0
     # INF answers from a chi-pos at the root (1) and below it (0) both occur
     assert uncertified == {0, 1}
+
+
+def with_chi_pos(rng, expr):
+    """expr, or expr under a chi-pos at the root or just below it."""
+    return rng.choice((expr, ChiPos(expr), Add(ChiPos(expr), Var(0))))
+
+
+def adapted(machine):
+    """The same machine behind a Query -> Answer transition, as a
+    hand-built one is: it runs through the construction-time adapter."""
+    return IntervalMachine(machine.arity, machine.transition)
+
+
+def test_refine_agrees_on_the_plan_the_adapter_and_the_catalog_tree():
+    rng = random.Random(71)
+    seen = Counter()
+    for _ in range(150):
+        arity = rng.choice((1, 2))
+        expr = with_chi_pos(rng, random_dag(rng, 6, arity))
+        plan = expr_to_machine(expr, arity)
+        machines = (plan, adapted(plan), reference_machine(expr, arity))
+        oracles = [from_rational(rand_fraction(rng)) for _ in range(arity)]
+        if rng.random() < 0.5:
+            target = F(1, 1 << rng.randint(0, 24))
+        else:
+            target = rand_positive(rng)
+        fuel = rng.randint(1, 30)
+        first, *others = [refine(m, oracles, target, fuel) for m in machines]
+        assert others == [first, first]
+        seen[type(first).__name__, getattr(first, "all_infinite", None)] += 1
+        first, *others = [domain_neighborhood(m, oracles, fuel) for m in machines]
+        assert others == [first, first]
+        seen["boxes" if isinstance(first, list) else "no boxes"] += 1
+    assert set(seen) == {("Converged", None), ("NoConvergence", True),
+                         ("NoConvergence", False), "boxes", "no boxes"}
+
+
+def test_compose_answers_like_apply_calls_composed_by_hand():
+    rng = random.Random(73)
+    infinite_inners = 0
+    for _ in range(150):
+        arity, width = rng.choice((1, 2)), rng.choice((1, 2))
+        inners = [expr_to_machine(with_chi_pos(rng, random_dag(rng, 4, arity)), arity)
+                  for _ in range(width)]
+        outer = expr_to_machine(random_dag(rng, 4, width), width)
+        inners = [rng.choice((m, adapted(m))) for m in inners]
+        outer = rng.choice((outer, adapted(outer)))
+        composite = compose(outer, inners)
+        for _ in range(10):
+            query = rand_query(rng, arity)
+            answers = [apply(m, query) for m in inners]
+            if any(a.accuracy is INF for a in answers):
+                infinite_inners += 1
+                expected = Answer(F(0), INF)
+            else:
+                fed = Query(tuple((a.value, a.accuracy) for a in answers))
+                expected = apply(outer, fed)
+            assert apply(composite, query) == expected
+    assert infinite_inners > 0
 
 
 def logistic_dag(k: int):
