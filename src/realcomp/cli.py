@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from typing import Optional, Sequence
 
 from .machine import Converged, NoConvergence, NoConvergenceError, refine, domain_neighborhood
@@ -68,7 +69,9 @@ def _accuracy_flag(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built on the first main() call and reused: parsing never changes it."""
     parser = argparse.ArgumentParser(
         prog="realcomp",
         description="exact real computation: interval-query machines, "

@@ -528,8 +528,8 @@ def modulus_to_machine(mm: ModulusMachine, grid_floor_exp: int) -> IntervalMachi
     """Adapt a modulus-style machine to the interval-query interface.
 
     The a priori modulus hides how fine an answer a given query supports,
-    so the adapter searches the dyadic grid 2^0, 2^-1, ..,
-    2^-grid_floor_exp for the smallest output accuracy whose required
+    so the adapter scans the dyadic grid 2^-grid_floor_exp, .., 2^-1, 2^0
+    up to the first, hence smallest, output accuracy whose required
     input accuracy the query tolerance already meets.  If no grid point
     qualifies the answer is infinite; a bounded grid keeps the adapter
     total.
@@ -539,13 +539,10 @@ def modulus_to_machine(mm: ModulusMachine, grid_floor_exp: int) -> IntervalMachi
 
     def transition(query: Query) -> Answer:
         q, tol = query.components[0]
-        best = None
-        for k in range(grid_floor_exp + 1):
+        for k in range(grid_floor_exp, -1, -1):
             eps = Fraction(1, 1 << k)
-            if mm.modulus(eps) >= tol and (best is None or eps < best):
-                best = eps
-        if best is None:
-            return Answer(mm.approx(q, Fraction(1)), INF)
-        return Answer(mm.approx(q, best), best)
+            if mm.modulus(eps) >= tol:
+                return Answer(mm.approx(q, eps), eps)
+        return Answer(mm.approx(q, Fraction(1)), INF)
 
     return IntervalMachine(1, transition, name=f"adapted({mm.name})")

@@ -136,12 +136,17 @@ class Sampler:
         self._state = seed & self._MASK
         self.seed = seed
 
+    def _draws(self, n: int):
+        """The next n 64-bit outputs; the state is stored as each is drawn."""
+        gamma, mask, state = self._GAMMA, self._MASK, self._state
+        for _ in range(n):
+            self._state = state = (state + gamma) & mask
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            yield z ^ (z >> 31)
+
     def next_u64(self) -> int:
-        self._state = (self._state + self._GAMMA) & self._MASK
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self._MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self._MASK
-        return z ^ (z >> 31)
+        return next(self._draws(1))
 
     def next_unit(self) -> Fraction:
         """The next uniform rational k / 2^64 in [0, 1)."""
@@ -251,21 +256,18 @@ def empirical_frequency(
 ) -> list:
     """Per-branch selection counts over n draws; Monte-Carlo mass check.
 
-    Each selected branch is refined once (the refinement is pure, so the
-    cache is invisible) to surface divergence exactly as sample() would.
+    A branch is refined once, when it is first selected, to surface
+    divergence exactly as sample() would: the error is that of the first
+    divergent branch drawn, and the sampler is left just past that draw.
     """
     if n < 1:
         raise ValueError(f"need at least one sample, got {n}")
     counts = [0] * len(alg.branches)
-    refined: dict = {}
-    select = _draw_selector(alg)
-    for _ in range(n):
-        index = select(sampler.next_u64())
-        if index not in refined:
+    for index in map(_draw_selector(alg), sampler._draws(n)):
+        if not counts[index]:
             outcome = refine(alg.branches[index].machine, [x], accuracy, fuel)
             if isinstance(outcome, NoConvergence):
                 raise NoConvergenceError(outcome.steps_taken, outcome.all_infinite)
-            refined[index] = outcome.value
         counts[index] += 1
     return counts
 

@@ -1,9 +1,14 @@
+import io
+import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from realcomp.cli import main
+from realcomp.cli import _build_parser, main
 
 CHI_SPEC = "(chi-pos (var 0))"
 TAIL_SPEC = "(tail (var 0) (add (var 0) (rat 1 1)))"
@@ -285,3 +290,185 @@ def test_missing_second_argument_is_a_usage_error(capsys, spec_file):
     )
     assert code == 2
     assert "--y" in err
+
+
+def test_one_parser_serves_every_call_with_the_same_bytes(capsys, spec_file):
+    chi = spec_file(CHI_SPEC, "chi.sexp")
+    tail = spec_file(TAIL_SPEC, "tail.sexp")
+    prob = spec_file(PROB_SPEC, "prob.sexp")
+    goldens = [
+        (["eval", "--spec", chi, "--x", "1", "--accuracy", "1/1024"],
+         "r=1 eps=1/1024\n"),
+        (["domain", "--spec", chi, "--x", "1"], "arg=0 lo=1/2 hi=3/2\n"),
+        (["enumerate", "--spec", tail, "--x", "1/2", "--accuracy", "1/1024",
+          "--max-index", "1"], "i=0 r=1/2 eps=1/1024\ni=1 r=3/2 eps=1/1024\n"),
+        (["member", "--spec", tail, "--x", "0", "--y", "1", "--accuracy", "2^-10"],
+         "found=true index=1\n"),
+        (["mass", "--spec", prob, "--x", "0", "--y", "0", "--accuracy", "2^-6"],
+         "lower=1/2 unknown=0\n"),
+        (["sample", "--spec", prob, "--x", "0", "--accuracy", "2^-6", "--seed", "11"],
+         "index=1 r=0\n"),
+        (["freq", "--spec", prob, "--x", "0", "--accuracy", "2^-6", "--seed", "11",
+          "--n", "2000"], "i=0 count=512\ni=1 count=501\ni=2 count=491\ni=3 count=496\n"),
+        (["natcheck", "--construction", "roundtrip", "--relation", "divisibility",
+          "--bound", "20"], "OK 441/441\n"),
+    ]
+    refusals = [
+        ["eval", "--spec", chi, "--x", "0.5", "--accuracy", "1/4"],
+        ["eval", "--spec", chi, "--x", "1", "--accuracy", "1/4", "--fuel", "1000001"],
+        ["freq", "--help"],
+        ["member", "--spec", tail, "--x", "0", "--accuracy", "1/4"],
+        ["--help"],
+        ["bogus"],
+        ["natcheck", "--construction", "roundtrip", "--relation", "geq", "--bound", "101"],
+        ["eval", "--spec", chi + ".missing", "--x", "1", "--accuracy", "1/4"],
+    ]
+    passes = []
+    for _ in range(2):
+        results = []
+        for (argv, expected), refused in zip(goldens, refusals):
+            assert run_cli(capsys, argv) == (0, expected, "")
+            results.append(run_cli(capsys, refused))
+        passes.append(results)
+    assert passes[0] == passes[1]
+    codes = [code for code, _, _ in passes[0]]
+    assert codes == [2, 2, 0, 2, 0, 2, 2, 2]
+    assert passes[0][1] == (2, "", "error: --fuel must be <= 1000000, got 1000001\n")
+    assert passes[0][2][1].startswith("usage: realcomp freq ")
+    assert passes[0][4][1].startswith("usage: realcomp ")
+    assert "realcomp eval: error: argument --x: not a rational" in passes[0][0][2]
+    assert _build_parser() is _build_parser()
+
+
+# --- argv fuzzing ------------------------------------------------------------------
+
+COMMAND_FLAGS = {
+    "eval": ["--spec", "--x", "--y", "--accuracy", "--fuel"],
+    "domain": ["--spec", "--x", "--y", "--fuel"],
+    "enumerate": ["--spec", "--x", "--accuracy", "--fuel", "--max-index"],
+    "member": ["--spec", "--x", "--y", "--accuracy", "--fuel", "--max-index"],
+    "sample": ["--spec", "--x", "--accuracy", "--fuel", "--seed"],
+    "mass": ["--spec", "--x", "--y", "--accuracy", "--fuel"],
+    "freq": ["--spec", "--x", "--accuracy", "--fuel", "--seed", "--n"],
+    "natcheck": ["--construction", "--relation", "--bound", "--fuel"],
+}
+
+
+def mostly(valid, invalid):
+    """Draws from `valid` about nine times in ten, else from `invalid`."""
+    return st.integers(0, 9).flatmap(lambda i: invalid if i == 9 else valid)
+
+
+RATIONALS = mostly(
+    st.one_of(
+        st.integers(-9, 9).map(str),
+        st.tuples(st.integers(-99, 99), st.integers(1, 99)).map("{0[0]}/{0[1]}".format),
+    ),
+    st.sampled_from(["0.5", "1/0", "1/-2", "", "x", "2^-3", "1 / 2", "--", "1e3"]),
+)
+ACCURACIES = mostly(
+    st.one_of(
+        st.integers(0, 20).map("2^-{}".format),
+        st.tuples(st.integers(1, 9), st.integers(1, 99)).map("{0[0]}/{0[1]}".format),
+    ),
+    st.sampled_from(["0", "-1/4", "2^-", "2^3", "2^-65537", "2^-10000000000", "1/0"]),
+)
+
+
+def sizes(limit, cap):
+    """Values up to `limit` that keep a run fast, negatives, and over-cap sizes."""
+    return mostly(
+        st.integers(0, limit).map(str),
+        st.sampled_from(["-1", "-3", str(cap + 1), str(10**30), "1.5", "ten", ""]),
+    )
+
+
+# spec files each command reads; the other files are refused with exit 2
+SPEC_KINDS = {
+    "eval": ["chi", "band"], "domain": ["chi", "band"],
+    "enumerate": ["tail", "finite"], "member": ["tail", "finite"],
+    "sample": ["prob", "divergent-prob"], "mass": ["prob", "divergent-prob"],
+    "freq": ["prob", "divergent-prob"],
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_specs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("specs")
+    texts = {
+        "chi": CHI_SPEC,
+        "band": BAND_SPEC,
+        "tail": TAIL_SPEC,
+        "finite": "(finite (var 0) (neg (var 0)))",
+        "prob": PROB_SPEC,
+        "divergent-prob": "(prob (mass 1 2 (chi-pos (var 0))) (mass 1 2 (var 0)))",
+        "bad-mass": "(prob (mass 1 2 (var 0)) (mass 1 3 (var 0)))",
+        "three-args": "(add (var 0) (var 2))",
+        "unclosed": "(add (var 0)",
+        "too-deep": nested(600),
+        "empty": "",
+    }
+    paths = {}
+    for name, text in texts.items():
+        paths[name] = root / f"{name}.sexp"
+        paths[name].write_text(text)
+    paths["undecodable"] = root / "undecodable.sexp"
+    paths["undecodable"].write_bytes(b"(var \xff\xfe 0)")
+    paths["directory"] = root
+    paths["missing"] = root / "missing.sexp"
+    return {name: str(path) for name, path in paths.items()}
+
+
+def flag_values(command, specs):
+    valid = [specs[name] for name in SPEC_KINDS.get(command, [])]
+    return {
+        "--spec": mostly(st.sampled_from(valid or sorted(specs.values())),
+                         st.sampled_from(sorted(specs.values()))),
+        "--x": RATIONALS,
+        "--y": RATIONALS,
+        "--accuracy": ACCURACIES,
+        "--fuel": sizes(50, 10**6),
+        "--max-index": sizes(50, 10**5),
+        "--n": sizes(50, 10**6),
+        "--seed": mostly(st.integers(-(2**70), 2**70).map(str), st.just("s")),
+        "--bound": sizes(5, 100),
+        "--construction": mostly(st.just("roundtrip"), st.just("other")),
+        "--relation": mostly(st.sampled_from(["equality", "divisibility", "geq"]),
+                             st.just("lt")),
+    }
+
+
+@st.composite
+def argvs(draw, specs):
+    # mostly a command with its own flags; sometimes an unknown command, a
+    # flag left out, a foreign flag, a flag without its value, or --help
+    rng = draw(st.randoms(use_true_random=True))
+    command = draw(mostly(st.sampled_from(sorted(COMMAND_FLAGS)), st.just("bogus")))
+    values = flag_values(command, specs)
+    chosen = [f for f in COMMAND_FLAGS.get(command, []) if rng.random() < 0.95]
+    if rng.random() < 0.1:
+        chosen.append(rng.choice(sorted(values)))
+    rng.shuffle(chosen)
+    argv = [command]
+    for flag in chosen:
+        argv.append(flag)
+        if rng.random() < 0.97:
+            argv.append(draw(values[flag]))
+    if rng.random() < 0.03:
+        argv.insert(rng.randint(0, len(argv)), "--help")
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_every_argv_exits_0_1_or_2_and_reports_errors_on_stderr(fuzz_specs, data):
+    argv = data.draw(argvs(fuzz_specs))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    err = err.getvalue()
+    if code == 2:
+        assert re.match(r"(realcomp( \w+)?: )?error: ", err.splitlines()[-1])
+    else:
+        assert err == ""

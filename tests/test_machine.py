@@ -359,6 +359,43 @@ def test_modulus_adapter_exhausted_grid_answers_infinite():
     assert ans.accuracy is INF
 
 
+@settings(max_examples=200)
+@given(floor_exp=st.integers(1, 12), data=st.data())
+def test_modulus_adapter_answers_like_the_grid_search_on_any_modulus(floor_exp, data):
+    # one drawn value per grid point, so the modulus is rarely monotone;
+    # some points sit exactly at the tolerance
+    tol = data.draw(st.fractions(min_value=F(1, 2**14), max_value=2))
+    value = st.one_of(st.just(tol), st.fractions(min_value=0, max_value=2))
+    table = data.draw(st.lists(value, min_size=floor_exp + 1, max_size=floor_exp + 1))
+
+    def modulus(eps):
+        return table[eps.denominator.bit_length() - 1]
+
+    calls = []
+    counted = ModulusMachine(lambda eps: calls.append(eps) or modulus(eps),
+                             lambda q, eps: q + eps)
+    q = F(1, 3)
+    answer = apply(modulus_to_machine(counted, floor_exp), Query.of((q, tol)))
+    best = grid_search_oracle(modulus, tol, floor_exp)
+    if best is None:
+        assert answer == Answer(q + 1, INF)
+        assert len(calls) == floor_exp + 1
+    else:
+        assert answer == Answer(q + best, best)
+        # the scan stops at the finest qualifying point
+        assert len(calls) == floor_exp + 2 - best.denominator.bit_length()
+
+
+def test_modulus_adapter_stops_at_the_first_qualifying_grid_point():
+    calls = []
+    mm = ModulusMachine(lambda eps: calls.append(eps) or eps, lambda q, eps: q)
+    machine = modulus_to_machine(mm, 40)
+    outcome = refine(machine, [from_rational(F(1, 3))], F(1, 2**10), 100)
+    assert outcome == Converged(F(1, 3), F(1, 2**10), 11)
+    # a scan of all 41 grid points per step made 11 * 41 = 451 calls
+    assert len(calls) == 396
+
+
 def test_adapted_machines_are_sound():
     rng = random.Random(17)
     for mm, reference in ((gl_identity(), Var(0)), (gl_doubling(), Mul(Const(2), Var(0)))):

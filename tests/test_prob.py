@@ -8,12 +8,16 @@ from hypothesis import strategies as st
 
 from realcomp import (
     Add,
+    Answer,
+    ChiPos,
     Const,
+    IntervalMachine,
     MassReport,
     MassSumInvalid,
     Max,
     Min,
     Mul,
+    Neg,
     NoConvergenceError,
     ProbBranch,
     Sampler,
@@ -248,6 +252,47 @@ def test_empirical_frequency_matches_masses_within_binomial_tolerance():
     for count, mass in zip(counts, alg.masses):
         deviation = F(count, n) - mass
         assert deviation * deviation <= 16 * mass * (1 - mass) / n
+
+
+def test_empirical_frequency_leaves_the_sampler_n_draws_on():
+    alg = half_half()
+    for seed, n in ((9, 1), (9, 400), (123456789, 37)):
+        sampler = Sampler(seed)
+        empirical_frequency(alg, from_rational(0), n, sampler, F(1, 64), 500)
+        fresh = Sampler(seed)
+        for _ in range(n):
+            fresh.next_u64()
+        assert sampler.next_u64() == fresh.next_u64()
+
+
+def test_empirical_frequency_raises_at_the_first_divergent_selection():
+    # at x = 1, chi-pos(-x) answers INF at every step, while x at fuel 3 has
+    # finite answers but never reaches 2^-10; a third branch that converges
+    # at once delays the first divergent selection past the first draw
+    infinite = expr_to_machine(ChiPos(Neg(X)), 1)
+    finite = expr_to_machine(X, 1)
+    converging = IntervalMachine(1, lambda query: Answer(0, F(1, 2**20)))
+    two = make_prob([ProbBranch(infinite, F(1, 2)), ProbBranch(finite, F(1, 2))])
+    three = make_prob([ProbBranch(infinite, F(1, 8)), ProbBranch(finite, F(1, 8)),
+                       ProbBranch(converging, F(3, 4))])
+    seen = set()
+    for alg in (two, three):
+        for seed in range(6):
+            replay = Sampler(seed)
+            draws, index = 0, 2
+            while index == 2:
+                draws += 1
+                index = select_index(alg, replay.next_unit())
+            sampler = Sampler(seed)
+            with pytest.raises(NoConvergenceError) as raised:
+                empirical_frequency(alg, from_rational(1), 50, sampler, F(1, 1024), 3)
+            assert raised.value.steps_taken == 3
+            assert raised.value.all_infinite is (index == 0)
+            assert sampler.next_u64() == replay.next_u64()
+            seen.add((alg is three, draws > 1, raised.value.all_infinite))
+    # both kinds of divergence come first, and some come after a draw
+    assert {(False, False, True), (False, False, False)} <= seen
+    assert any(is_three and later for is_three, later, _ in seen)
 
 
 @st.composite
