@@ -18,7 +18,7 @@ import sys
 from functools import cache
 from typing import Optional, Sequence
 
-from .machine import Converged, NoConvergence, NoConvergenceError, refine, domain_neighborhood
+from .machine import NoConvergenceError, _required, domain_neighborhood, refine
 from .natrel import equivalence_report, relation_by_name, RELATION_CATALOG
 from .oracle import expr_to_machine, from_rational
 from .prob import (
@@ -176,15 +176,13 @@ def _algorithm(spec) -> DiscreteProbAlgorithm:
     return DiscreteProbAlgorithm(tuple(branches))
 
 
-def _no_convergence(steps_taken: int, all_infinite: bool) -> int:
-    """Print the no-convergence status line; returns exit code 1."""
-    flag = "true" if all_infinite else "false"
-    print(f"status=no-convergence steps={steps_taken} all_infinite={flag}")
-    return 1
-
-
 def run_command(args) -> int:
-    """Execute one parsed command; prints results, returns the exit code."""
+    """Execute one parsed command; prints results, returns the exit code.
+
+    Where a command needs a refinement result (eval, domain, sample,
+    freq) and fuel runs out, it raises NoConvergenceError; main prints
+    the status=no-convergence line for it and exits 1.
+    """
     for flag, cap in _FLAG_CAPS:
         value = getattr(args, flag, None)
         if value is not None and value > cap:
@@ -201,18 +199,14 @@ def run_command(args) -> int:
 
     if args.command == "eval":
         machine, oracles = _expr_machine(spec, args)
-        outcome = refine(machine, oracles, args.accuracy, args.fuel)
-        if isinstance(outcome, Converged):
-            print(f"r={outcome.value} eps={outcome.accuracy}")
-            return 0
-        return _no_convergence(outcome.steps_taken, outcome.all_infinite)
+        outcome = _required(refine(machine, oracles, args.accuracy, args.fuel))
+        print(f"r={outcome.value} eps={outcome.accuracy}")
+        return 0
 
     if args.command == "domain":
         machine, oracles = _expr_machine(spec, args)
-        result = domain_neighborhood(machine, oracles, args.fuel)
-        if isinstance(result, NoConvergence):
-            return _no_convergence(result.steps_taken, result.all_infinite)
-        for k, interval in enumerate(result):
+        boxes = _required(domain_neighborhood(machine, oracles, args.fuel))
+        for k, interval in enumerate(boxes):
             print(f"arg={k} lo={interval.lo} hi={interval.hi}")
         return 0
 
@@ -296,7 +290,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NoConvergenceError as exc:
-        return _no_convergence(exc.steps_taken, exc.all_infinite)
+        flag = "true" if exc.all_infinite else "false"
+        print(f"status=no-convergence steps={exc.steps_taken} all_infinite={flag}")
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

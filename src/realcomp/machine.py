@@ -11,11 +11,13 @@ Soundness contract: whenever the answer to a query is ``(r, eps)`` with
 component within its tolerance of its approximation) at which the
 function is defined has its true function value within ``eps`` of ``r``.
 
-Refinement drives a machine's integer step along the canonical tolerance
-schedule ``2^-n`` until the answer accuracy meets a target; Query and
-Answer are validated at ``apply`` and around hand-built transitions.
+One loop, ``_schedule``, drives a machine's integer step along the
+tolerance schedule ``2^-n`` for refine and domain_neighborhood; one
+runner, ``_plan_machine``, runs compiled plans and compositions.  Query
+and Answer are validated at ``apply`` and around hand-built transitions.
 Divergence can only be observed up to an explicit fuel budget; running
-out of fuel is evidence of undefinedness, never proof.
+out of fuel is evidence of undefinedness, never proof, and ``_required``
+is the one place that turns it into NoConvergenceError.
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ class Answer:
 class IntervalMachine:
     """A pure total transition from queries of a fixed arity to answers.
 
-    refine, domain_neighborhood and compose drive its integer step (see
+    The refinement loop and the plan runner drive its integer step (see
     the interval rules); a transition given here is adapted to one once.
     """
 
@@ -177,7 +179,12 @@ class NoConvergenceError(RuntimeError):
 Oracle = Callable[[Fraction], Fraction]
 
 
-def _check_refine_args(machine, oracles, fuel):
+def _schedule(machine, oracles, fuel, gn, gd, wide):
+    """The one refinement loop.  Step n asks the oracles at tolerance 2^-n
+    and runs the integer step on their answers at tolerance 2^(wide-n),
+    wide 0 or 1.  Returns (n, approximations, value) at the first finite
+    accuracy <= gn/gd (gd = 0 takes any), NoConvergence when fuel is out.
+    """
     if len(oracles) != machine.arity:
         raise ValueError(
             f"machine {machine.name!r} takes {machine.arity} argument(s), "
@@ -185,6 +192,28 @@ def _check_refine_args(machine, oracles, fuel):
         )
     if fuel < 1:
         raise ValueError(f"fuel must be >= 1, got {fuel}")
+    step = machine._step
+    all_infinite = True
+    wn, wd = 1 << wide, 1
+    for n in range(fuel):
+        tol = Fraction(1, 1 << n)
+        approxes = [as_fraction(oracle(tol)) for oracle in oracles]
+        qn, qd, tn, td = step(*[(q.numerator, q.denominator, wn, wd) for q in approxes])
+        if td:
+            all_infinite = False
+            if tn * gd <= gn * td:
+                return n, approxes, (qn, qd, tn, td)
+        # halve the query tolerance in lowest terms: 2, 1, 1/2, 1/4, ...
+        wn, wd = 1, wd << (wn & 1)
+    return NoConvergence(fuel, all_infinite)
+
+
+def _required(outcome):
+    """A refine or domain_neighborhood outcome where a result is required:
+    returned unchanged, or NoConvergenceError if fuel ran out."""
+    if isinstance(outcome, NoConvergence):
+        raise NoConvergenceError(outcome.steps_taken, outcome.all_infinite)
+    return outcome
 
 
 def refine(
@@ -198,24 +227,16 @@ def refine(
     Each step n asks every argument oracle for an approximation at
     tolerance 2^-n and feeds the machine the resulting query.  Returns
     Converged at the first step whose answer has a finite accuracy at or
-    below the target, NoConvergence once fuel is spent.  Arguments are
-    validated once; then each step runs the machine's integer step.
+    below the target, NoConvergence once fuel is spent.
     """
     target = as_fraction(target)
     if target <= 0:
         raise ValueError(f"target accuracy must be positive, got {target}")
-    _check_refine_args(machine, oracles, fuel)
-    step, gn, gd = machine._step, target.numerator, target.denominator
-    all_infinite = True
-    for n in range(fuel):
-        tol = Fraction(1, 1 << n)
-        approxes = [as_fraction(oracle(tol)) for oracle in oracles]
-        qn, qd, tn, td = step(*[(q.numerator, q.denominator, 1, 1 << n) for q in approxes])
-        if td:
-            all_infinite = False
-            if tn * gd <= gn * td:
-                return Converged(Fraction(qn, qd), Fraction(tn, td), n + 1)
-    return NoConvergence(fuel, all_infinite)
+    hit = _schedule(machine, oracles, fuel, target.numerator, target.denominator, 0)
+    if isinstance(hit, NoConvergence):
+        return hit
+    n, _, (qn, qd, tn, td) = hit
+    return Converged(Fraction(qn, qd), Fraction(tn, td), n + 1)
 
 
 def domain_neighborhood(
@@ -229,19 +250,15 @@ def domain_neighborhood(
     oracles at 2^-n but queries the machine at tolerance 2^-(n-1).  At the
     first finite answer the query boxes themselves are neighborhoods of
     the true inputs lying inside the machine's domain of definition, and
-    they are returned as one closed interval per argument.  The machine
-    runs on its integer step, as in refine.
+    they are returned as one closed interval per argument.  It is the
+    loop of refine with target 1/0, so all answers were INF if fuel runs out.
     """
-    _check_refine_args(machine, oracles, fuel)
-    step = machine._step
-    for n in range(fuel):
-        tol = Fraction(1, 1 << n)
-        approxes = [as_fraction(oracle(tol)) for oracle in oracles]
-        wn, wd = (2, 1) if n == 0 else (1, 1 << (n - 1))
-        if step(*[(q.numerator, q.denominator, wn, wd) for q in approxes])[3]:
-            return [Interval(q - 2 * tol, q + 2 * tol) for q in approxes]
-    # falling through means every doubled-tolerance answer was infinite
-    return NoConvergence(fuel, True)
+    hit = _schedule(machine, oracles, fuel, 1, 0, 1)
+    if isinstance(hit, NoConvergence):
+        return hit
+    n, approxes, _ = hit
+    width = Fraction(2, 1 << n)
+    return [Interval(q - width, q + width) for q in approxes]
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +417,26 @@ def _rule_machine(rule, arity: int, name: str) -> IntervalMachine:
     return IntervalMachine(arity, transition, name, rule)
 
 
+def _plan_machine(steps, arity: int, root: int, name: str) -> IntervalMachine:
+    """The one plan runner.  Slots 0 .. arity-1 hold the query's values;
+    each (step, operand slots) pair fills the next slot, and the machine
+    answers slot `root`.  An infinite value in any other slot answers
+    (0, INF) at once: an uncertified operand leaves nothing above it.
+    """
+    steps = tuple(steps)
+
+    def step(*values):
+        vals = list(values)
+        for rule, operands in steps:
+            value = rule(*[vals[k] for k in operands])
+            if not value[3] and len(vals) != root:
+                return 0, 1, 1, 0
+            vals.append(value)
+        return vals[root]
+
+    return _rule_machine(step, arity, name)
+
+
 def proj(index: int, arity: int) -> IntervalMachine:
     """Projection onto argument `index`: answers its component unchanged."""
     if not 0 <= index < arity:
@@ -479,7 +516,8 @@ def compose(outer: IntervalMachine, inners: Sequence[IntervalMachine]) -> Interv
     Inner answer (r, eps) becomes the outer query component (r, eps); a
     single infinite inner answer makes the composite answer (0, INF)
     immediately, since the outer machine would have nothing to certify.
-    The inner steps' values feed the outer step unconverted.
+    It is a two-level plan: each inner step on the query slots, then the
+    outer step on the inner slots, whose values it takes unconverted.
     """
     inners = tuple(inners)
     if outer.arity != len(inners):
@@ -494,19 +532,11 @@ def compose(outer: IntervalMachine, inners: Sequence[IntervalMachine]) -> Interv
         if m.arity != arity:
             raise ValueError("inner machines must share one arity")
 
-    outer_step, inner_steps = outer._step, tuple(m._step for m in inners)
-
-    def step(*values):
-        fed = []
-        for inner in inner_steps:
-            value = inner(*values)
-            if not value[3]:
-                return 0, 1, 1, 0
-            fed.append(value)
-        return outer_step(*fed)
-
+    root = arity + len(inners)
+    steps = [(m._step, tuple(range(arity))) for m in inners]
+    steps.append((outer._step, tuple(range(arity, root))))
     name = f"{outer.name}({', '.join(m.name for m in inners)})"
-    return _rule_machine(step, arity, name)
+    return _plan_machine(steps, arity, root, name)
 
 
 @dataclass(frozen=True)

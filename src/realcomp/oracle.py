@@ -13,9 +13,9 @@ printing, evaluation and compilation all read that table.
 Compilation interns every subterm, so an expression DAG whose subterms
 are shared (the tree of the logistic iterate k grows as 2^k, its DAG
 as k) becomes a plan with one step per distinct subterm.
-A plan is an integer step (realcomp.machine) that runs each of its
-steps once on the values of the interval rules; refinement feeds it
-values directly, and only a public transition call converts a Query.
+A plan is a list of (interval rule, operand slots) steps, run once per
+query by the plan runner of realcomp.machine; refinement feeds it values
+directly, and only a public transition call converts a Query.
 A literal operand folds into an exact primitive: "x + 1" is the step
 answering (q + 1, tol), "c * x" scales by c, and an operator of two
 literals is the constant it evaluates to.  A zero factor does not fold:
@@ -32,8 +32,6 @@ from typing import Callable, Sequence
 
 from .machine import (
     IntervalMachine,
-    NoConvergence,
-    NoConvergenceError,
     _add_rule,
     _chi_pos_rule,
     _const_rule,
@@ -41,7 +39,8 @@ from .machine import (
     _min_rule,
     _mul_rule,
     _neg_rule,
-    _rule_machine,
+    _plan_machine,
+    _required,
     _scale_rule,
     _shift_rule,
     _sub_rule,
@@ -119,11 +118,8 @@ def apply_machine(
     def ask(tolerance: Fraction) -> Fraction:
         if tolerance in memo:
             return memo[tolerance]
-        outcome = refine(machine, args, tolerance, fuel)
-        if isinstance(outcome, NoConvergence):
-            raise NoConvergenceError(outcome.steps_taken, outcome.all_infinite)
-        memo[tolerance] = outcome.value
-        return outcome.value
+        value = memo[tolerance] = _required(refine(machine, args, tolerance, fuel)).value
+        return value
 
     return RealOracle(ask, name=f"{machine.name}(...)")
 
@@ -358,7 +354,7 @@ def expr_to_machine(expr: RealExpr, arity: int) -> IntervalMachine:
             f"unbound variable: expression uses {plan.needed} argument(s), "
             f"declared arity is {arity}"
         )
-    return plan.machine(root)
+    return _plan_machine(plan.steps, arity, root, f"plan({len(plan.steps)} steps)")
 
 
 class _Plan:
@@ -416,18 +412,3 @@ class _Plan:
                 slot = self._step(expr.rule, (), tuple(map(self.slot, kids)))
         self._seen[id(expr)] = slot
         return slot
-
-    def machine(self, root: int) -> IntervalMachine:
-        steps = tuple(self.steps)
-
-        def step(*values):
-            vals = list(values)
-            for rule, operands in steps:
-                value = rule(*[vals[k] for k in operands])
-                # an uncertified operand leaves nothing to certify above it
-                if not value[3] and len(vals) != root:
-                    return 0, 1, 1, 0
-                vals.append(value)
-            return vals[root]
-
-        return _rule_machine(step, self.arity, f"plan({len(steps)} steps)")

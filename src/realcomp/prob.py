@@ -32,13 +32,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Optional, Sequence
 
-from .machine import (
-    Converged,
-    IntervalMachine,
-    NoConvergence,
-    NoConvergenceError,
-    refine,
-)
+from .machine import Converged, IntervalMachine, NoConvergence, _required, refine
 from .oracle import RealOracle
 from .rational import as_fraction
 
@@ -200,10 +194,7 @@ def sample(
     inputs.  Raises NoConvergenceError if the chosen branch diverges.
     """
     index = select_index(alg, sampler.next_unit())
-    outcome = refine(alg.branches[index].machine, [x], accuracy, fuel)
-    if isinstance(outcome, NoConvergence):
-        raise NoConvergenceError(outcome.steps_taken, outcome.all_infinite)
-    return index, outcome.value
+    return index, _required(refine(alg.branches[index].machine, [x], accuracy, fuel)).value
 
 
 def outcome_mass(
@@ -265,9 +256,7 @@ def empirical_frequency(
     counts = [0] * len(alg.branches)
     for index in map(_draw_selector(alg), sampler._draws(n)):
         if not counts[index]:
-            outcome = refine(alg.branches[index].machine, [x], accuracy, fuel)
-            if isinstance(outcome, NoConvergence):
-                raise NoConvergenceError(outcome.steps_taken, outcome.all_infinite)
+            _required(refine(alg.branches[index].machine, [x], accuracy, fuel))
         counts[index] += 1
     return counts
 
@@ -279,10 +268,7 @@ class RepartitionMachine:
     machine: IntervalMachine
 
     def evaluate(self, x: RealOracle, y: RealOracle, accuracy, fuel: int) -> Fraction:
-        outcome = refine(self.machine, [x, y], accuracy, fuel)
-        if isinstance(outcome, NoConvergence):
-            raise NoConvergenceError(outcome.steps_taken, outcome.all_infinite)
-        return outcome.value
+        return _required(refine(self.machine, [x, y], accuracy, fuel)).value
 
 
 # Deterministic probe grid used to validate repartition machines.

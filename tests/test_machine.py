@@ -264,6 +264,22 @@ def test_refine_validates_inputs():
         refine(identity(), [from_rational(0)], F(1, 2), 0)
 
 
+def test_domain_neighborhood_validates_inputs_as_refine_does():
+    zero = from_rational(0)
+    cases = (
+        ([], 10, "machine 'proj0' takes 1 argument(s), got 0 oracle(s)"),
+        ([zero, zero], 10, "machine 'proj0' takes 1 argument(s), got 2 oracle(s)"),
+        ([zero], 0, "fuel must be >= 1, got 0"),
+        ([zero], -3, "fuel must be >= 1, got -3"),
+    )
+    for oracles, fuel, message in cases:
+        for run in (lambda: refine(identity(), oracles, F(1, 2), fuel),
+                    lambda: domain_neighborhood(identity(), oracles, fuel)):
+            with pytest.raises(ValueError) as raised:
+                run()
+            assert str(raised.value) == message
+
+
 def test_refine_and_domain_refuse_float_approximations():
     for oracle in (RealOracle(lambda tol: 0.5), lambda tol: 0.5):
         with pytest.raises(TypeError, match="exact rational"):

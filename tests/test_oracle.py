@@ -17,6 +17,7 @@ from realcomp import (
     NoConvergence,
     NoConvergenceError,
     Query,
+    RealOracle,
     Sub,
     Undefined,
     Var,
@@ -225,6 +226,38 @@ def test_refine_agrees_on_the_plan_the_adapter_and_the_catalog_tree():
         seen["boxes" if isinstance(first, list) else "no boxes"] += 1
     assert set(seen) == {("Converged", None), ("NoConvergence", True),
                          ("NoConvergence", False), "boxes", "no boxes"}
+
+
+def jittered(x, k):
+    """An oracle for the rational x whose answers move with the tolerance."""
+    return RealOracle(lambda tol: x + tol * F((tol.denominator * k) % 17 - 8, 8))
+
+
+def test_refining_at_two_targets_gives_answers_that_agree():
+    # both balls hold the true value, so their centres are within
+    # eps1 + eps2 of each other; they need not nest
+    rng = random.Random(79)
+    seen = Counter()
+    for _ in range(400):
+        arity = rng.choice((1, 2))
+        expr = with_chi_pos(rng, random_dag(rng, 8, arity))
+        machine = expr_to_machine(expr, arity)
+        xs = [rand_fraction(rng) for _ in range(arity)]
+        oracles = [jittered(x, rng.randrange(1, 17)) for x in xs]
+        r1, r2 = [
+            refine(machine, oracles, rng.choice((F(1, 1 << rng.randint(0, 24)),
+                                                 rand_positive(rng))), 40)
+            for _ in range(2)
+        ]
+        if not (isinstance(r1, Converged) and isinstance(r2, Converged)):
+            continue
+        assert abs(r2.value - r1.value) <= r1.accuracy + r2.accuracy
+        value = eval_expr(expr, xs)
+        assert abs(value - r1.value) <= r1.accuracy
+        assert abs(value - r2.value) <= r2.accuracy
+        seen["differ"] += r1.value != r2.value
+        seen["not nested"] += abs(r2.value - r1.value) > abs(r1.accuracy - r2.accuracy)
+    assert seen["differ"] > 40 and seen["not nested"] > 0
 
 
 def test_compose_answers_like_apply_calls_composed_by_hand():
