@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from decimal import Decimal
 from functools import cache
 from typing import Optional, Sequence
 
@@ -55,18 +56,14 @@ class UsageError(ValueError):
 _FLAG_CAPS = (("fuel", 10**6), ("n", 10**6), ("bound", 100), ("max_index", 10**5))
 
 
-def _rational_flag(text: str):
-    try:
-        return parse_rational(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _accuracy_flag(text: str):
-    try:
-        return parse_accuracy(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _flag(parse):
+    """An argparse type that reports parse's ValueError as its message."""
+    def flag(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return flag
 
 
 @cache
@@ -84,13 +81,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--spec", required=True, metavar="FILE",
                        help="file holding one s-expression specification")
         if x:
-            p.add_argument("--x", type=_rational_flag, required=True,
+            p.add_argument("--x", type=_flag(parse_rational), required=True,
                            help="first argument (exact rational)")
         if y:
-            p.add_argument("--y", type=_rational_flag, required=y == "required",
+            p.add_argument("--y", type=_flag(parse_rational), required=y == "required",
                            help="second argument / candidate (exact rational)")
         if accuracy:
-            p.add_argument("--accuracy", type=_accuracy_flag, required=True,
+            p.add_argument("--accuracy", type=_flag(parse_accuracy), required=True,
                            help="target accuracy: n/d or 2^-k")
         p.add_argument("--fuel", type=int, default=1000,
                        help="refinement step budget (default 1000, at most 10^6)")
@@ -133,6 +130,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fuel", type=int, default=10**6,
                    help="search budget (default 10^6, at most 10^6)")
     return parser
+
+
+def _rat(x) -> str:
+    """str(x) of a Fraction, past str(int)'s limit: Decimal prints all digits."""
+    n, d = str(Decimal(x.numerator)), x.denominator
+    return n if d == 1 else f"{n}/{Decimal(d)}"
 
 
 def _load_spec(path: str):
@@ -200,14 +203,14 @@ def run_command(args) -> int:
     if args.command == "eval":
         machine, oracles = _expr_machine(spec, args)
         outcome = _required(refine(machine, oracles, args.accuracy, args.fuel))
-        print(f"r={outcome.value} eps={outcome.accuracy}")
+        print(f"r={_rat(outcome.value)} eps={_rat(outcome.accuracy)}")
         return 0
 
     if args.command == "domain":
         machine, oracles = _expr_machine(spec, args)
         boxes = _required(domain_neighborhood(machine, oracles, args.fuel))
         for k, interval in enumerate(boxes):
-            print(f"arg={k} lo={interval.lo} hi={interval.hi}")
+            print(f"arg={k} lo={_rat(interval.lo)} hi={_rat(interval.hi)}")
         return 0
 
     if args.command == "enumerate":
@@ -220,7 +223,7 @@ def run_command(args) -> int:
         for i in range(last + 1):
             if i in by_index:
                 entry = by_index[i]
-                print(f"i={i} r={entry.value} eps={entry.accuracy}")
+                print(f"i={i} r={_rat(entry.value)} eps={_rat(entry.accuracy)}")
             else:
                 print(f"i={i} status=skipped")
         return 0
@@ -246,7 +249,7 @@ def run_command(args) -> int:
         index, value = sample(
             alg, from_rational(args.x), Sampler(args.seed), args.accuracy, args.fuel
         )
-        print(f"index={index} r={value}")
+        print(f"index={index} r={_rat(value)}")
         return 0
 
     if args.command == "mass":
@@ -258,7 +261,7 @@ def run_command(args) -> int:
             args.accuracy,
             args.fuel,
         )
-        print(f"lower={report.lower} unknown={report.unknown}")
+        print(f"lower={_rat(report.lower)} unknown={_rat(report.unknown)}")
         return 0
 
     if args.command == "freq":

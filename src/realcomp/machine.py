@@ -18,6 +18,13 @@ and Answer are validated at ``apply`` and around hand-built transitions.
 Divergence can only be observed up to an explicit fuel budget; running
 out of fuel is evidence of undefinedness, never proof, and ``_required``
 is the one place that turns it into NoConvergenceError.
+
+The plan runner alone rounds, midpoint-radius as in Arb: with e the bit
+length of the query's largest tolerance denominator plus 16, a finite
+step value whose qd or td exceeds 2^(2e) gets its midpoint floored to
+the grid 2^-e and its radius rounded up to it plus 2^-e.  The new ball
+holds the old, so rules stay sound; the grid depends on the query alone,
+so plans and compose trees agree while its approximations fit in 2e bits.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from math import gcd
+from operator import itemgetter
 from typing import Callable, Sequence, Union
 
 from .rational import INF, Accuracy, Interval, as_fraction
@@ -272,9 +280,9 @@ def domain_neighborhood(
 # accuracies are finite and positive, and so is every result accuracy,
 # except that chi-pos answers INF where it certifies nothing; INF is the
 # accuracy 1/0, the only value with td == 0.  The catalog machines below
-# and the compiled expression plans of realcomp.oracle both run these
-# functions, so each formula is written here once.  A machine's integer
-# step is such a rule on its query's values; its transition turns the
+# and the plans of realcomp.oracle run these exact rules, each written
+# once; only the plan runner widens a value (_round_ball).  A machine's
+# integer step is such a rule on its query's values; its transition turns
 # components into values (_value) and the result into an Answer (_answer).
 
 
@@ -417,20 +425,39 @@ def _rule_machine(rule, arity: int, name: str) -> IntervalMachine:
     return IntervalMachine(arity, transition, name, rule)
 
 
+def _round_ball(value, e):
+    """The ball (qn/qd, tn/td) on the grid 2^-e, in lowest terms: the
+    midpoint floored, the radius rounded up plus 2^-e."""
+    qn, qd, tn, td = value
+    m, r, one = (qn << e) // qd, 1 - (-tn << e) // td, 1 << e
+    gm, gr = gcd(m, one), gcd(r, one)
+    return m // gm, one // gm, r // gr, one // gr
+
+
 def _plan_machine(steps, arity: int, root: int, name: str) -> IntervalMachine:
     """The one plan runner.  Slots 0 .. arity-1 hold the query's values;
     each (step, operand slots) pair fills the next slot, and the machine
     answers slot `root`.  An infinite value in any other slot answers
     (0, INF) at once: an uncertified operand leaves nothing above it.
+    Values past 2^(2e) are rounded; e is found once one passes 2^34.
     """
-    steps = tuple(steps)
+    # gather each step's operands in one C call; one operand is a 1-slice
+    steps = [(rule, itemgetter(*ks) if len(ks) > 1 else itemgetter(slice(*ks, ks[0] + 1)))
+             for rule, ks in steps]
 
     def step(*values):
         vals = list(values)
-        for rule, operands in steps:
-            value = rule(*[vals[k] for k in operands])
-            if not value[3] and len(vals) != root:
-                return 0, 1, 1, 0
+        cap, e = 1 << 34, 0
+        for rule, gather in steps:
+            value = rule(*gather(vals))
+            if not value[3]:
+                if len(vals) != root:
+                    return 0, 1, 1, 0
+            elif value[1] > cap or value[3] > cap:
+                e = e or max(v[3] for v in values).bit_length() + 16
+                cap = 1 << 2 * e
+                if value[1] > cap or value[3] > cap:
+                    value = _round_ball(value, e)
             vals.append(value)
         return vals[root]
 

@@ -1,7 +1,7 @@
 """Exact rational arithmetic, extended accuracies, and closed rational intervals.
 
 Everything in this library is built on arbitrary-precision fractions in
-canonical form; no operation ever rounds.  Error bounds ("accuracies")
+canonical form; no operation here rounds.  Error bounds ("accuracies")
 are strictly positive rationals extended with a single infinite value
 ``INF``, which means "no information".
 """

@@ -1,6 +1,7 @@
 """Shared helpers: seeded rational and expression sampling, the
-soundness harness, the catalog-tree reference compiler, and the
-interval rules restated on Fractions."""
+soundness harness, the catalog-tree reference compiler, a counter of the
+plan runner's ball roundings, and the interval rules restated on
+Fractions."""
 
 from __future__ import annotations
 
@@ -37,7 +38,12 @@ from realcomp import (
     shift_machine,
     sub_machine,
 )
+from realcomp import machine as _machine
 from realcomp.oracle import _OPERATORS
+
+# The operator table with mul five times over: products double the bits
+# of their operands, so DAGs over it reach the plan runner's rounding.
+MUL_HEAVY = _OPERATORS + (Mul,) * 4
 
 # Machines with exact rational reference functions, as (name, expression)
 # pairs; compiled machines must satisfy the soundness inequality against
@@ -90,8 +96,9 @@ def random_expr(rng: random.Random, depth: int, arity: int = 1):
     return op(*[random_expr(rng, depth - 1, arity) for _ in fields(op)])
 
 
-def random_dag(rng: random.Random, nodes: int, arity: int = 1):
-    """A random expression DAG over every table operator.
+def random_dag(rng: random.Random, nodes: int, arity: int = 1, ops=_OPERATORS):
+    """A random expression DAG over the operators `ops`, by default the
+    whole table.
 
     Each operator node takes its operands from the nodes built before it,
     mostly the latest few, so subterms are shared and nest.  Some nodes
@@ -100,7 +107,7 @@ def random_dag(rng: random.Random, nodes: int, arity: int = 1):
     pool = [Var(i) for i in range(arity)]
     pool += [Const(rand_fraction(rng, 6, 6)) for _ in range(2)]
     for _ in range(nodes):
-        op = rng.choice(_OPERATORS)
+        op = rng.choice(ops)
         kids = [rng.choice(pool[-4:] if rng.random() < 0.7 else pool)
                 for _ in fields(op)]
         pool.append(op(*kids))
@@ -149,6 +156,20 @@ def reference_machine(expr, arity: int):
             return compose(scale_machine(c), [inner])
     return compose(_CATALOG[type(expr)](),
                    [reference_machine(kid, arity) for kid in kids])
+
+
+def count_roundings(monkeypatch) -> list:
+    """Count the plan runner's ball roundings from now on: returns a
+    one-element list that each call of machine._round_ball increments."""
+    calls = [0]
+    round_ball = _machine._round_ball
+
+    def counted(value, e):
+        calls[0] += 1
+        return round_ball(value, e)
+
+    monkeypatch.setattr(_machine, "_round_ball", counted)
+    return calls
 
 
 def soundness_violations(machine, expr, rng: random.Random, samples: int) -> int:

@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
@@ -211,6 +212,41 @@ def test_nesting_up_to_the_cap_evaluates(capsys, spec_file):
     assert (code, out) == (2, "")
     # the 513th '(' follows 512 copies of "(neg "
     assert err == "error: line 1, col 2561: nesting deeper than 512\n"
+
+
+def test_answers_longer_than_the_int_digit_limit_print_in_full(capsys, spec_file):
+    # str() of an int refuses more than 4300 digits; 2^15000 has 4516
+    digits = f"{Decimal(1 << 15000):f}"
+    assert len(digits) == 4516
+    argv = ["--x", "1/3", "--fuel", "20000"]
+    path = spec_file("(var 0)")
+    assert run_cli(capsys, ["eval", "--spec", path, "--accuracy", "2^-15000"] + argv) == (
+        0, f"r=1/3 eps=1/{digits}\n", "")
+    path = spec_file("(mul (var 0) (var 0))")
+    code, out, err = run_cli(capsys, ["eval", "--spec", path, "--accuracy", "2^-8000"] + argv)
+    assert (code, err) == (0, "") and out.startswith("r=1/9 eps=")
+    num, den = out.split("eps=")[1].split("/")
+    assert len(den) > 4300 and int(Decimal(num)) << 8000 <= int(Decimal(den))
+
+
+def logistic_spec(k):
+    """The k-th iterate of x -> 15/4 x (1 - x) as a spec: a tree of 2^k leaves."""
+    x = "(var 0)"
+    for _ in range(k):
+        x = f"(mul (rat 15 4) (mul {x} (sub (rat 1 1) {x})))"
+    return x
+
+
+def test_a_deep_logistic_spec_evaluates_at_bounded_size(capsys, spec_file):
+    # exact, the answer would have 233,471 accuracy bits
+    path = spec_file(logistic_spec(12))
+    argv = ["eval", "--spec", path, "--x", "1/3", "--accuracy", "2^-32", "--fuel", "400"]
+    assert run_cli(capsys, argv) == (
+        0,
+        "r=4473866386159725779895/9444732965739290427392 "
+        "eps=506824243035/2361183241434822606848\n",
+        "",
+    )
 
 
 def test_usage_errors_exit_2(capsys, spec_file):

@@ -51,9 +51,11 @@ from realcomp.machine import (
     _min_rule,
     _mul_rule,
     _neg_rule,
+    _round_ball,
     _scale_rule,
     _shift_rule,
     _sub_rule,
+    _value,
 )
 
 from helpers import (
@@ -454,6 +456,28 @@ def test_chi_pos_finite_answers_certify_positivity():
             assert q - tol > 0
             assert ans.value == 1
     assert finite_seen > 0
+
+
+# --- ball rounding -----------------------------------------------------------------
+
+# an integer of 1 to 2000 bits
+PARTS = st.integers(1, 2000).flatmap(lambda b: st.integers(1 << (b - 1), (1 << b) - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sign=st.sampled_from((-1, 0, 1)), qn=PARTS, qd=PARTS, tn=PARTS, td=PARTS,
+       e=st.integers(1, 2100))
+def test_rounding_a_ball_covers_it_with_a_dyadic_ball_in_lowest_terms(
+        sign, qn, qd, tn, td, e):
+    q, t = F(sign * qn, qd), F(tn, td)
+    mn, md, rn, rd = _round_ball(_value(q, t), e)
+    m, r = F(mn, md), F(rn, rd)
+    assert m - r <= q - t and q + t <= m + r
+    assert (mn, md, rn, rd) == _value(m, r) and r > 0
+    for d in (md, rd):
+        assert d & (d - 1) == 0 and d <= 1 << e
+    # the plan runner rounds a value only where qd or td exceeds 2^(2e)
+    assert max(md, rd) <= 1 << 2 * e
 
 
 # --- the integer-pair kernel against the Fraction reference ------------------------

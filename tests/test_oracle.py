@@ -37,6 +37,8 @@ from realcomp import (
 )
 
 from helpers import (
+    MUL_HEAVY,
+    count_roundings,
     rand_fraction,
     rand_positive,
     rand_query,
@@ -204,7 +206,8 @@ def adapted(machine):
     return IntervalMachine(machine.arity, machine.transition)
 
 
-def test_refine_agrees_on_the_plan_the_adapter_and_the_catalog_tree():
+def test_refine_agrees_on_the_plan_the_adapter_and_the_catalog_tree(monkeypatch):
+    rounded = count_roundings(monkeypatch)
     rng = random.Random(71)
     seen = Counter()
     for _ in range(150):
@@ -226,6 +229,26 @@ def test_refine_agrees_on_the_plan_the_adapter_and_the_catalog_tree():
         seen["boxes" if isinstance(first, list) else "no boxes"] += 1
     assert set(seen) == {("Converged", None), ("NoConvergence", True),
                          ("NoConvergence", False), "boxes", "no boxes"}
+    # the tree rounds at the same nodes as the plan, so equality is exact
+    assert rounded[0] >= 40
+
+
+def test_plans_that_round_are_sound_and_answer_like_the_catalog_tree(monkeypatch):
+    rounded = count_roundings(monkeypatch)
+    rng = random.Random(83)
+    in_harness = 0
+    for _ in range(200):
+        arity = rng.choice((1, 2))
+        expr = random_dag(rng, 16, arity, MUL_HEAVY)
+        plan = expr_to_machine(expr, arity)
+        tree = reference_machine(expr, arity)
+        for _ in range(10):
+            query = rand_query(rng, arity)
+            assert apply(plan, query) == apply(tree, query)
+        before = rounded[0]
+        assert soundness_violations(plan, expr, rng, 20) == 0
+        in_harness += rounded[0] - before
+    assert in_harness >= 400 and rounded[0] - in_harness >= 400
 
 
 def jittered(x, k):
@@ -290,6 +313,19 @@ def logistic_dag(k: int):
     for _ in range(k):
         x = Mul(Const(F(15, 4)), Mul(x, Sub(Const(1), x)))
     return x
+
+
+def test_logistic_iterates_keep_their_steps_at_bounded_bit_size():
+    # Exact, the answer at k = 12 has 233,471 accuracy bits; rounded to
+    # the grid of the query, a few dozen, and no step count moves.
+    x = F(1, 3)
+    for k, steps in ((10, 53), (12, 56), (14, 60)):
+        dag = logistic_dag(k)
+        outcome = refine(expr_to_machine(dag, 1), [from_rational(x)], F(1, 2**32), 400)
+        assert isinstance(outcome, Converged) and outcome.steps == steps
+        assert outcome.value.denominator.bit_length() <= 128
+        assert outcome.accuracy.denominator.bit_length() <= 128
+        assert abs(eval_expr(dag, [x]) - outcome.value) <= outcome.accuracy
 
 
 def test_compiling_is_linear_in_the_dag():
