@@ -24,7 +24,8 @@ length of the query's largest tolerance denominator plus 16, a finite
 step value whose qd or td exceeds 2^(2e) gets its midpoint floored to
 the grid 2^-e and its radius rounded up to it plus 2^-e.  The new ball
 holds the old, so rules stay sound; the grid depends on the query alone,
-so plans and compose trees agree while its approximations fit in 2e bits.
+and a query value passed on unchanged is never rounded, so plans and
+compose trees agree on every query.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from math import gcd
 from operator import itemgetter
 from typing import Callable, Sequence, Union
 
-from .rational import INF, Accuracy, Interval, as_fraction
+from .rational import INF, Accuracy, Interval, _positive, as_fraction
 
 __all__ = [
     "Query",
@@ -80,8 +81,7 @@ class Query:
         if not comps:
             raise ValueError("a query needs at least one component")
         for _, tol in comps:
-            if tol <= 0:
-                raise ValueError(f"query tolerance must be positive, got {tol}")
+            _positive(tol, "query tolerance")
         object.__setattr__(self, "components", comps)
 
     @classmethod
@@ -103,10 +103,7 @@ class Answer:
     def __post_init__(self):
         object.__setattr__(self, "value", as_fraction(self.value))
         if self.accuracy is not INF:
-            acc = as_fraction(self.accuracy)
-            if acc <= 0:
-                raise ValueError(f"finite accuracy must be positive, got {acc}")
-            object.__setattr__(self, "accuracy", acc)
+            object.__setattr__(self, "accuracy", _positive(self.accuracy, "finite accuracy"))
 
 
 @dataclass(frozen=True)
@@ -237,9 +234,7 @@ def refine(
     Converged at the first step whose answer has a finite accuracy at or
     below the target, NoConvergence once fuel is spent.
     """
-    target = as_fraction(target)
-    if target <= 0:
-        raise ValueError(f"target accuracy must be positive, got {target}")
+    target = _positive(target, "target accuracy")
     hit = _schedule(machine, oracles, fuel, target.numerator, target.denominator, 0)
     if isinstance(hit, NoConvergence):
         return hit
@@ -439,7 +434,8 @@ def _plan_machine(steps, arity: int, root: int, name: str) -> IntervalMachine:
     each (step, operand slots) pair fills the next slot, and the machine
     answers slot `root`.  An infinite value in any other slot answers
     (0, INF) at once: an uncertified operand leaves nothing above it.
-    Values past 2^(2e) are rounded; e is found once one passes 2^34.
+    Step values past 2^(2e) are rounded, but not a query value that a
+    step passes on unchanged; e is found once a value passes 2^34.
     """
     # gather each step's operands in one C call; one operand is a 1-slice
     steps = [(rule, itemgetter(*ks) if len(ks) > 1 else itemgetter(slice(*ks, ks[0] + 1)))
@@ -456,7 +452,8 @@ def _plan_machine(steps, arity: int, root: int, name: str) -> IntervalMachine:
             elif value[1] > cap or value[3] > cap:
                 e = e or max(v[3] for v in values).bit_length() + 16
                 cap = 1 << 2 * e
-                if value[1] > cap or value[3] > cap:
+                # a query value passed on by a proj leaf has not grown
+                if (value[1] > cap or value[3] > cap) and not any(value is v for v in values):
                     value = _round_ball(value, e)
             vals.append(value)
         return vals[root]

@@ -13,7 +13,9 @@ conversions between them:
 Partial computation is modeled by fuel indexing: run(args, fuel) either
 halts with a value or reports it is still running, and halting is
 monotone in fuel.  That is exactly the "first i steps" view the
-conversions need, with no machine code committed to.
+conversions need, with no machine code committed to.  Enumeration slots
+are Cantor-paired (y, i), and pair is inverted in closed form both ways:
+unpair for a slot, _max_index_within for the last slot of a y in fuel.
 """
 
 from __future__ import annotations
@@ -140,20 +142,20 @@ def dec_to_semi(rel: DecidableNatRel) -> SemiDecidableNatRel:
     )
 
 
-def semi_to_enum(rel: SemiDecidableNatRel, exceptional=FAIL) -> EnumerableNatRel:
+def semi_to_enum(rel: SemiDecidableNatRel) -> EnumerableNatRel:
     """Enumerate a semi-decidable relation by dovetailing.
 
     Slot j encodes a pair (y, i); the slot produces y exactly when the
     semi-decision program for (x, y) halts within i steps, and produces
-    the exceptional sentinel otherwise.  Every related y eventually
-    appears because its program halts at some finite fuel.  The sentinel
-    is an object, never a natural, so it cannot collide with data.
+    FAIL otherwise.  Every related y eventually appears because its
+    program halts at some finite fuel.  FAIL is an object, never a
+    natural, so it cannot collide with data.
     """
     run = rel.program.run
 
     def enumerate_fn(x: int, j: int):
         y, i = unpair(j)
-        return y if run((x, y), i) == 1 else exceptional
+        return y if run((x, y), i) == 1 else FAIL
 
     return EnumerableNatRel(enumerate_fn, name=rel.name)
 
@@ -226,17 +228,13 @@ class EquivalenceReport:
 
 
 def _max_index_within(y: int, fuel: int) -> Optional[int]:
-    """Largest i with pair(y, i) <= fuel, or None if even i=0 is too big."""
-    if pair(y, 0) > fuel:
-        return None
-    lo, hi = 0, fuel  # pair(y, i) >= i, so i <= fuel certainly
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if pair(y, mid) <= fuel:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    """Largest i with pair(y, i) <= fuel, or None if even i=0 is too big.
+
+    With s = y + i, pair(y, i) = (s^2 + 3s)/2 - y, so pair(y, i) <= fuel
+    iff (2s + 3)^2 <= 9 + 8(fuel + y): a closed form, as unpair is.
+    """
+    i = (isqrt(9 + 8 * (fuel + y)) - 3) // 2 - y
+    return i if i >= 0 else None
 
 
 def equivalence_report(

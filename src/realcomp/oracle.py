@@ -46,7 +46,7 @@ from .machine import (
     _sub_rule,
     refine,
 )
-from .rational import as_fraction
+from .rational import _positive, as_fraction
 
 __all__ = [
     "RealOracle",
@@ -81,10 +81,7 @@ class RealOracle:
     name: str = "oracle"
 
     def __call__(self, tolerance) -> Fraction:
-        tolerance = as_fraction(tolerance)
-        if tolerance <= 0:
-            raise ValueError(f"tolerance must be positive, got {tolerance}")
-        return self.ask(tolerance)
+        return self.ask(_positive(tolerance, "tolerance"))
 
     def __repr__(self):
         return f"<oracle {self.name}>"

@@ -17,24 +17,26 @@ and each output is the state mixed by two xor-shift-multiply rounds
 (constants 0xBF58476D1CE4E5B9 and 0x94D049BB133111EB, final shift 31).
 Uniform draws are the exact rationals u = k / 2^64 with k the next
 64-bit output, so inverse-CDF selection over rational cumulative masses
-is exact.  select_index is that selection for any rational u;
-empirical_frequency (the CLI's freq) applies the same rule to the raw
-draw k, comparing it with the integer cut points ceil(c * 2^64) of the
-cumulative masses c.  For parallel streams, derive child seeds with
-spawn_seed(seed, stream_index) rather than reusing the parent sampler.
+is exact.  An algorithm sums its masses once, into the table of the
+cumulative masses c that it checks against 1.  select_index bisects the
+table with any rational u; empirical_frequency (the CLI's freq) bisects
+the integer cut points ceil(c * 2^64) with the raw draw k.  For parallel
+streams, derive child seeds with spawn_seed(seed, stream_index) rather
+than reusing the parent sampler.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from .machine import Converged, IntervalMachine, NoConvergence, _required, refine
-from .oracle import RealOracle
-from .rational import as_fraction
+from .oracle import RealOracle, from_rational
+from .rational import _positive, as_fraction
 
 __all__ = [
     "MassSumInvalid",
@@ -81,15 +83,18 @@ class ProbBranch:
 @dataclass(frozen=True)
 class DiscreteProbAlgorithm:
     branches: tuple
+    # the cumulative masses, ending at 1; branch i owns [c[i-1], c[i])
+    _cumulative: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         branches = tuple(self.branches)
         if not branches:
             raise ValueError("an algorithm needs at least one branch")
         object.__setattr__(self, "branches", branches)
-        total = sum(b.mass for b in branches)
-        if total != 1:
-            raise MassSumInvalid(f"masses sum to {total}, not 1")
+        cumulative = tuple(accumulate(b.mass for b in branches))
+        if cumulative[-1] != 1:
+            raise MassSumInvalid(f"masses sum to {cumulative[-1]}, not 1")
+        object.__setattr__(self, "_cumulative", cumulative)
 
     @property
     def masses(self) -> tuple:
@@ -159,12 +164,7 @@ def select_index(alg: DiscreteProbAlgorithm, u) -> int:
     u = as_fraction(u)
     if not 0 <= u < 1:
         raise ValueError(f"u must lie in [0, 1), got {u}")
-    cumulative = Fraction(0)
-    for i, branch in enumerate(alg.branches):
-        cumulative += branch.mass
-        if u < cumulative:
-            return i
-    raise AssertionError("unreachable: masses sum to 1")  # pragma: no cover
+    return bisect_right(alg._cumulative, u)
 
 
 def _draw_selector(alg: DiscreteProbAlgorithm):
@@ -173,11 +173,7 @@ def _draw_selector(alg: DiscreteProbAlgorithm):
     For each cumulative mass c, k / 2^64 < c iff k < ceil(c * 2^64), so
     the branch is the number of these cut points at or below k.
     """
-    cuts = []
-    cumulative = Fraction(0)
-    for branch in alg.branches:
-        cumulative += branch.mass
-        cuts.append(-((-cumulative.numerator << 64) // cumulative.denominator))
+    cuts = [-((-c.numerator << 64) // c.denominator) for c in alg._cumulative]
     return partial(bisect_right, cuts)
 
 
@@ -214,9 +210,7 @@ def outcome_mass(
     decidable, so this three-way accounting is the computable reading of
     "the probability that the result is y".
     """
-    accuracy = as_fraction(accuracy)
-    if accuracy <= 0:
-        raise ValueError(f"accuracy must be positive, got {accuracy}")
+    accuracy = _positive(accuracy, "accuracy")
     quarter = accuracy / 4
     y_approx = y(quarter)
     lower = Fraction(0)
@@ -278,11 +272,10 @@ _CDF_PROBE_YS = [Fraction(v) for v in (-3, -1, 0, 1, 3)] + [
     Fraction(5, 4),
 ]
 _CDF_PROBE_ACCURACY = Fraction(1, 256)
+_CDF_PROBE_FUEL = 200
 
 
-def cdf_algorithm(
-    machine: IntervalMachine, fuel: int = 200
-) -> RepartitionMachine:
+def cdf_algorithm(machine: IntervalMachine) -> RepartitionMachine:
     """Wrap an arity-2 machine as a repartition (cumulative) function.
 
     Interval outcomes are described by the probability that the result at
@@ -294,9 +287,7 @@ def cdf_algorithm(
     """
     if machine.arity != 2:
         raise ValueError("a repartition machine takes (x, y)")
-    from .oracle import from_rational  # local import to avoid cycles in callers
-
-    acc = _CDF_PROBE_ACCURACY
+    acc, fuel = _CDF_PROBE_ACCURACY, _CDF_PROBE_FUEL
     for x in _CDF_PROBE_XS:
         x_oracle = from_rational(x)
         previous: Optional[Converged] = None

@@ -3,7 +3,8 @@
 Everything in this library is built on arbitrary-precision fractions in
 canonical form; no operation here rounds.  Error bounds ("accuracies")
 are strictly positive rationals extended with a single infinite value
-``INF``, which means "no information".
+``INF``, which means "no information".  ``_positive`` is the one check
+that an accuracy is positive; each public entry point names its own.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from typing import Union
 
 __all__ = [
@@ -42,8 +44,10 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+@total_ordering
 class _InfiniteAccuracy:
-    """The accuracy "no information": compares greater than every rational."""
+    """The accuracy "no information": compares greater than every rational.
+    A singleton, so == and hash are identity; the order follows from <."""
 
     __slots__ = ()
     _instance = None
@@ -56,34 +60,9 @@ class _InfiniteAccuracy:
     def __repr__(self):
         return "INF"
 
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("realcomp.INF")
-
     def __lt__(self, other):
         if isinstance(other, (_InfiniteAccuracy, Fraction, int)):
             return False
-        return NotImplemented
-
-    def __le__(self, other):
-        if isinstance(other, _InfiniteAccuracy):
-            return True
-        if isinstance(other, (Fraction, int)):
-            return False
-        return NotImplemented
-
-    def __gt__(self, other):
-        if isinstance(other, _InfiniteAccuracy):
-            return False
-        if isinstance(other, (Fraction, int)):
-            return True
-        return NotImplemented
-
-    def __ge__(self, other):
-        if isinstance(other, (_InfiniteAccuracy, Fraction, int)):
-            return True
         return NotImplemented
 
 
@@ -95,6 +74,14 @@ Accuracy = Union[Fraction, _InfiniteAccuracy]
 
 def is_finite(accuracy: Accuracy) -> bool:
     return accuracy is not INF
+
+
+def _positive(value, what: str) -> Fraction:
+    """value as a Fraction; ValueError naming `what` unless it is > 0."""
+    value = as_fraction(value)
+    if value.numerator <= 0:
+        raise ValueError(f"{what} must be positive, got {value}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from .machine import (
 )
 from .natrel import FAIL, _Fail
 from .oracle import RealExpr, RealOracle, expr_to_machine
-from .rational import as_fraction
+from .rational import _positive, as_fraction
 
 __all__ = [
     "IndexSet",
@@ -247,9 +247,7 @@ def member_semi(
     equality over the reals is not decidable, so no finite search can
     rule membership out.
     """
-    accuracy = as_fraction(accuracy)
-    if accuracy <= 0:
-        raise ValueError(f"accuracy must be positive, got {accuracy}")
+    accuracy = _positive(accuracy, "accuracy")
     indices = _window(rel, max_index)
     quarter = accuracy / 4
     y_approx = y(quarter)

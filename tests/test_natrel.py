@@ -109,12 +109,6 @@ def test_semi_to_enum_of_the_empty_relation_always_fails():
 def test_semi_to_enum_fails_on_nonmembers_at_any_slot():
     enum = semi_to_enum(dec_to_semi(relation_by_name("divisibility")))
     assert enum.enumerate(2, pair(5, 10**6)) is FAIL
-
-
-def test_semi_to_enum_accepts_a_caller_supplied_sentinel():
-    marker = object()
-    enum = semi_to_enum(dec_to_semi(relation_by_name("equality")), exceptional=marker)
-    assert enum.enumerate(2, pair(5, 3)) is marker
     assert enum.enumerate(2, pair(2, 0)) == 2
 
 
@@ -335,3 +329,24 @@ def test_unpair_uses_exact_integer_square_roots():
     a, b = unpair(n)
     assert pair(a, b) == n
     assert isqrt((a + b) * (a + b + 1) * 4) >= 0
+
+
+def _max_index_by_search(y, fuel):
+    """Largest i with pair(y, i) <= fuel, by binary search; None if none."""
+    if pair(y, 0) > fuel:
+        return None
+    lo, hi = 0, fuel  # pair(y, i) >= i
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if pair(y, mid) <= fuel:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def test_decisive_slot_matches_a_binary_search_over_pair():
+    fuels = list(range(300)) + [10**6 - 1, 10**6, 10**12 + 7]
+    for y in range(120):
+        for fuel in fuels:
+            assert natrel._max_index_within(y, fuel) == _max_index_by_search(y, fuel)

@@ -47,6 +47,7 @@ from helpers import (
     reference_machine,
     soundness_violations,
 )
+from realcomp import machine as machine_module
 from realcomp.oracle import _OPERATORS
 
 F = Fraction
@@ -249,6 +250,60 @@ def test_plans_that_round_are_sound_and_answer_like_the_catalog_tree(monkeypatch
         assert soundness_violations(plan, expr, rng, 20) == 0
         in_harness += rounded[0] - before
     assert in_harness >= 400 and rounded[0] - in_harness >= 400
+
+
+def third_power_query(rng, arity):
+    """A query whose approximations a/3^k, k <= 120, have denominators far
+    past the rounding cap."""
+    def approx():
+        k = rng.randint(0, 120)
+        return F(rng.randint(-4 * 3**k, 4 * 3**k), 3**k)
+
+    return Query(tuple((approx(), rand_positive(rng)) for _ in range(arity)))
+
+
+def test_plans_and_catalog_trees_agree_at_approximations_past_the_cap():
+    # a tree's proj leaf passes the query value on unrounded, as a plan's
+    # query slot holds it, so both round only the negation's result
+    expr, query = Neg(Var(0)), Query.of((F(1, 3**100), F(1, 2)))
+    expected = Answer(F(-1, 2**18), F(1, 2) + F(1, 2**18))
+    assert apply(expr_to_machine(expr, 1), query) == expected
+    assert apply(reference_machine(expr, 1), query) == expected
+    rng = random.Random(89)
+    for _ in range(150):
+        arity = rng.choice((1, 2))
+        expr = random_dag(rng, 16, arity, MUL_HEAVY)
+        plan, tree = expr_to_machine(expr, arity), reference_machine(expr, arity)
+        for _ in range(10):
+            query = third_power_query(rng, arity)
+            assert apply(plan, query) == apply(tree, query)
+
+
+def test_rounding_only_ever_widens_a_plan_answer(monkeypatch):
+    """Exactly, in Fractions: where a plan's answer is finite, the answer
+    without rounding is finite too and its ball lies inside the rounded
+    one.  Every interval rule is inclusion-isotone, so widening an operand
+    can only widen the result; a rounding that lost part of its ball would
+    show here, by a margin as small as one grid step."""
+    rounded = count_roundings(monkeypatch)
+    rng = random.Random(97)
+    cases = []
+    for _ in range(250):
+        arity = rng.choice((1, 2))
+        plan = expr_to_machine(random_dag(rng, 16, arity, MUL_HEAVY), arity)
+        for _ in range(10):
+            query = rand_query(rng, arity)
+            cases.append((plan, query, apply(plan, query)))
+    monkeypatch.setattr(machine_module, "_round_ball", lambda value, e: value)
+    finite = 0
+    for plan, query, answer in cases:
+        if answer.accuracy is INF:
+            continue
+        finite += 1
+        exact = apply(plan, query)
+        assert exact.accuracy is not INF
+        assert abs(exact.value - answer.value) + exact.accuracy <= answer.accuracy
+    assert finite >= 1000 and rounded[0] >= 300
 
 
 def jittered(x, k):

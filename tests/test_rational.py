@@ -102,3 +102,91 @@ def test_parse_accuracy_bounds_the_dyadic_exponent():
 @given(q=fractions)
 def test_format_parse_round_trip(q):
     assert parse_rational(str(q)) == q
+
+
+# --- contracts pinned across refactors ----------------------------------------
+
+FINITE_ORDERED = [Fraction(10**9), Fraction(-3, 7), Fraction(0), 0, 5, -2, True, False]
+
+
+@pytest.mark.parametrize("x", FINITE_ORDERED, ids=repr)
+def test_infinity_against_finite_rationals_under_every_comparison(x):
+    assert (INF < x, INF <= x, INF > x, INF >= x) == (False, False, True, True)
+    assert (x < INF, x <= INF, x > INF, x >= INF) == (True, True, False, False)
+    assert (INF == x, INF != x, x == INF, x != INF) == (False, True, False, True)
+
+
+def test_infinity_against_itself_under_every_comparison():
+    assert (INF < INF, INF <= INF, INF > INF, INF >= INF) == (False, True, False, True)
+    assert (INF == INF, INF != INF) == (True, False)
+
+
+@pytest.mark.parametrize("other", ["1", 1.0, None], ids=repr)
+def test_infinity_refuses_to_be_ordered_against_non_rationals(other):
+    for compare in (
+        lambda: INF < other, lambda: INF <= other,
+        lambda: INF > other, lambda: INF >= other,
+        lambda: other < INF, lambda: other <= INF,
+        lambda: other > INF, lambda: other >= INF,
+    ):
+        with pytest.raises(TypeError):
+            compare()
+    assert INF != other and not INF == other
+
+
+def test_infinity_survives_copying_and_pickling_as_itself():
+    import copy
+    import pickle
+
+    assert copy.copy(INF) is INF
+    assert copy.deepcopy(INF) is INF
+    assert pickle.loads(pickle.dumps(INF)) is INF
+    table = {INF: "none", Fraction(1): "one"}
+    assert table[INF] == "none"
+    assert pickle.loads(pickle.dumps(table))[INF] == "none"
+
+
+def _positivity_sites():
+    """(message prefix, call) for every public accuracy check outside the CLI."""
+    from realcomp import (
+        Answer,
+        ProbBranch,
+        Query,
+        Var,
+        expr_to_machine,
+        from_rational,
+        identity,
+        make_finite_rel,
+        make_prob,
+        member_semi,
+        outcome_mass,
+        refine,
+    )
+
+    zero = from_rational(0)
+    rel = make_finite_rel([Var(0)])
+    alg = make_prob([ProbBranch(expr_to_machine(Var(0), 1), 1)])
+    # Fraction.__pos__ refuses anything but a Fraction: the int was coerced
+    return [
+        ("query tolerance", lambda v: Fraction.__pos__(Query.of((0, v)).components[0][1])),
+        ("finite accuracy", lambda v: Fraction.__pos__(Answer(0, v).accuracy)),
+        ("target accuracy", lambda v: refine(identity(), [zero], v, 5).accuracy),
+        ("tolerance", lambda v: zero(v) + v),
+        ("accuracy", lambda v: member_semi(rel, zero, zero, v, 0, 5) + v),
+        ("accuracy", lambda v: outcome_mass(alg, zero, zero, v, 5).lower + v),
+    ]
+
+
+@pytest.mark.parametrize("site", range(6))
+@pytest.mark.parametrize("value", [0, -3, Fraction(-1, 2)], ids=repr)
+def test_every_positivity_check_keeps_its_message(site, value):
+    what, call = _positivity_sites()[site]
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert str(info.value) == f"{what} must be positive, got {value}"
+
+
+@pytest.mark.parametrize("site", range(6))
+def test_every_positivity_check_accepts_an_int(site):
+    _, call = _positivity_sites()[site]
+    assert call(2) >= 1
