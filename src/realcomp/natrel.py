@@ -171,11 +171,11 @@ def semi_to_enum_nonempty(
     suite samples it against the semi-decision); it is not re-checked at
     runtime.
     """
-    run = rel.program.run
+    dovetail = semi_to_enum(rel).enumerate_fn
 
     def enumerate_fn(x: int, j: int) -> int:
-        y, i = unpair(j)
-        return y if run((x, y), i) == 1 else default(x)
+        y = dovetail(x, j)
+        return default(x) if y is FAIL else y
 
     return EnumerableNatRel(enumerate_fn, name=f"{rel.name}-nonempty")
 

@@ -10,15 +10,18 @@ interval-query machines.  Each operator is defined once, as a class that
 carries its spec symbol, exact rule and interval rule; parsing,
 printing, evaluation and compilation all read that table.
 
-Compilation interns every subterm, so an expression DAG whose subterms
-are shared (the tree of the logistic iterate k grows as 2^k, its DAG
-as k) becomes a plan with one step per distinct subterm.
+Compilation, like arity and exact evaluation, is one walk of the
+expression DAG, memoised on the subterm object and freed when it
+returns; it interns every step, so a DAG whose subterms are shared (the
+tree of the logistic iterate k grows as 2^k, its DAG as k) becomes a
+plan with one step per distinct subterm.
 A plan is a list of (interval rule, operand slots) steps, run once per
 query by the plan runner of realcomp.machine; refinement feeds it values
 directly, and only a public transition call converts a Query.
 A literal operand folds into an exact primitive: "x + 1" is the step
 answering (q + 1, tol), "c * x" scales by c, and an operator of two
-literals is the constant it evaluates to.  A zero factor does not fold:
+literals is a step of the constant it evaluates to, which its parent
+does not fold.  A zero factor does not fold:
 "0 * x" is undefined wherever x is.
 """
 
@@ -294,16 +297,16 @@ class ChiPos(_Unary):
     partial = True
 
 
-# The operator table.  The recursive walks below pass children through
-# map() rather than a comprehension so that each level of nesting costs a
+# The operator table.  The DAG walk below passes children through map()
+# rather than a comprehension so that each level of nesting costs a
 # single Python frame.
 _OPERATORS = (Add, Sub, Mul, Min, Max, Neg, ChiPos)
 
 
 def _walk_dag(expr: RealExpr, leaf, node):
-    """Fold expr bottom-up: leaf(e) at a Const or Var, node(e, *child
+    """Fold expr bottom-up: leaf(e) at a Const or Var, node(e, child
     values) at an operator.  Memoised on the subterm object, so a shared
-    DAG is walked in linear time."""
+    DAG is walked in linear time; the memo is freed when the walk returns."""
     seen = {}
 
     def walk(e: RealExpr):
@@ -312,10 +315,13 @@ def _walk_dag(expr: RealExpr, leaf, node):
             if isinstance(e, (Const, Var)):
                 v = seen[id(e)] = leaf(e)
             else:
-                v = seen[id(e)] = node(e, *map(walk, e.children))
+                v = seen[id(e)] = node(e, tuple(map(walk, e.children)))
         return v
 
-    return walk(expr)
+    try:
+        return walk(expr)
+    finally:
+        del walk  # walk refers to itself; break the cycle
 
 
 def expr_arity(expr: RealExpr) -> int:
@@ -323,7 +329,7 @@ def expr_arity(expr: RealExpr) -> int:
     return _walk_dag(
         expr,
         lambda e: e.index + 1 if isinstance(e, Var) else 1,
-        lambda e, *arities: max(1, *arities),
+        lambda e, arities: max(1, *arities),
     )
 
 
@@ -332,7 +338,7 @@ def eval_expr(expr: RealExpr, xs: Sequence[Fraction]) -> Fraction:
     return _walk_dag(
         expr,
         lambda e: e.value if isinstance(e, Const) else as_fraction(xs[e.index]),
-        lambda e, *values: e.exact(*values),
+        lambda e, values: e.exact(*values),
     )
 
 
@@ -340,72 +346,54 @@ def expr_to_machine(expr: RealExpr, arity: int) -> IntervalMachine:
     """Compile an expression to a sound machine of the given arity.
 
     Takes time linear in the expression DAG: shared subterms, and
-    structurally equal ones, are compiled and evaluated once.
+    structurally equal ones, are compiled and evaluated once.  Slots
+    0 .. arity-1 hold the query's components; step i fills slot arity + i
+    by applying its rule to the values in its operand slots.  The walk
+    takes a Var to its slot, an operator to the slot of its last step,
+    and a Const to itself: an operand that does not fold becomes a const
+    step.  Steps are interned on (rule, literal parameters as integer
+    pairs, operand slots), so structurally equal subterms share one slot.
     """
     if arity < 1:
         raise ValueError(f"arity must be >= 1, got {arity}")
-    plan = _Plan(arity)
-    root = plan.slot(expr)
-    if plan.needed > arity:
-        raise ValueError(
-            f"unbound variable: expression uses {plan.needed} argument(s), "
-            f"declared arity is {arity}"
-        )
-    return _plan_machine(plan.steps, arity, root, f"plan({len(plan.steps)} steps)")
+    steps, interned, everything = [], {}, tuple(range(arity))
 
-
-class _Plan:
-    """The steps of a compiled expression, in topological order.
-
-    Slots 0 .. arity-1 hold the query's components; step i fills slot
-    arity + i by applying its rule to the values in its operand slots.
-    Steps are interned on (rule, literal parameters as integer pairs,
-    operand slots), so structurally equal subterms share one slot.
-    """
-
-    def __init__(self, arity: int):
-        self.arity = arity
-        self.needed = 1
-        self.steps = []
-        self._interned = {}
-        self._seen = {}  # id(expr) -> slot, so a shared object is walked once
-
-    def _step(self, rule, params: tuple, operands: tuple) -> int:
-        params = tuple(p.as_integer_ratio() for p in params)
+    def step(rule, params: tuple, operands: tuple) -> int:
+        params = tuple(map(Fraction.as_integer_ratio, params))
         key = (rule, params, operands)
-        slot = self._interned.get(key)
+        slot = interned.get(key)
         if slot is None:
-            slot = self._interned[key] = self.arity + len(self.steps)
-            self.steps.append((partial(rule, *params) if params else rule, operands))
+            slot = interned[key] = arity + len(steps)
+            steps.append((partial(rule, *params) if params else rule, operands))
         return slot
 
-    def _const(self, value: Fraction) -> int:
-        return self._step(_const_rule, (value,), tuple(range(self.arity)))
+    def slot(v) -> int:
+        return step(_const_rule, (v.value,), everything) if isinstance(v, Const) else v
 
-    def slot(self, expr: RealExpr) -> int:
-        """The slot that computes expr, compiling it on first sight."""
-        slot = self._seen.get(id(expr))
-        if slot is not None:
-            return slot
-        if isinstance(expr, Var):
-            self.needed = max(self.needed, expr.index + 1)
-            slot = expr.index
-        elif isinstance(expr, Const):
-            slot = self._const(expr.value)
-        else:
-            kids = expr.children
-            lc, rc = isinstance(kids[0], Const), isinstance(kids[-1], Const)
-            chain = None
-            if (lc or rc) and expr.fold is not None:
-                c, other = (kids[0].value, kids[1]) if lc else (kids[1].value, kids[0])
-                chain = expr.fold(c, lc)
-            if lc and rc and not expr.partial:
-                slot = self._const(expr.exact(*[kid.value for kid in kids]))
-            elif chain is not None:
-                slot = self.slot(other)
+    def leaf(e):
+        if isinstance(e, Const):
+            return e
+        if e.index >= arity:
+            raise ValueError(
+                f"unbound variable: expression uses {expr_arity(expr)} argument(s), "
+                f"declared arity is {arity}"
+            )
+        return e.index
+
+    def node(e, kids: tuple) -> int:
+        lc, rc = isinstance(kids[0], Const), isinstance(kids[-1], Const)
+        if not (lc or rc):
+            return step(e.rule, (), kids)
+        if lc and rc and not e.partial:
+            return slot(Const(e.exact(*[kid.value for kid in kids])))
+        if e.fold is not None:
+            c, v = (kids[0].value, kids[1]) if lc else (kids[1].value, kids[0])
+            chain = e.fold(c, lc)
+            if chain is not None:
                 for rule, params in chain:
-                    slot = self._step(rule, params, (slot,))
-            else:
-                slot = self._step(expr.rule, (), tuple(map(self.slot, kids)))
-        self._seen[id(expr)] = slot
-        return slot
+                    v = step(rule, params, (v,))
+                return v
+        return step(e.rule, (), tuple(map(slot, kids)))
+
+    root = slot(_walk_dag(expr, leaf, node))
+    return _plan_machine(steps, arity, root, f"plan({len(steps)} steps)")

@@ -154,7 +154,7 @@ class Sampler:
 
 def spawn_seed(seed: int, stream_index: int) -> int:
     """Child seed for an independent stream; documented and reproducible."""
-    child = Sampler(seed ^ (stream_index * 0x9E3779B97F4A7C15))
+    child = Sampler(seed ^ (stream_index * Sampler._GAMMA))
     return child.next_u64()
 
 

@@ -1,7 +1,8 @@
 """The machine-specification language: s-expressions over a fixed grammar.
 
-Atoms are symbols and integers (decimal digits, optionally signed); a
-';' starts a comment that runs to the end of the line.  Heads:
+Atoms are symbols and integers (decimal digits, optionally signed, no
+longer than the interpreter's int-to-string limit); a ';' starts a
+comment that runs to the end of the line.  Heads:
 
     (rat n d)          exact rational constant n/d
     (var k)            argument variable, k >= 0
@@ -49,9 +50,10 @@ _TOKEN_RE = re.compile(r"[()]|[^ \t\r\n();]+|;[^\n]*")
 # \d is the Unicode decimal digits, the same set int() reads.
 _INT_RE = re.compile(r"[+-]?\d+")
 
-# Deepest list nesting a specification may have.  Building, arity,
-# exact evaluation, compiling and printing recurse once per level, so the
-# cap keeps them all inside Python's recursion limit.
+# Deepest list nesting a specification may have.  Reading uses a stack,
+# but building (_build_expr), printing (format_expr) and the DAG walk
+# behind arity, exact evaluation and compiling (oracle._walk_dag) recurse
+# once per level, so the cap keeps them inside Python's recursion limit.
 _MAX_DEPTH = 512
 
 
@@ -101,7 +103,10 @@ def _err(node, message: str):
 def _want_int(node, what: str) -> int:
     if isinstance(node, list) or not _INT_RE.fullmatch(node.group()):
         _err(node, f"expected an integer for {what}")
-    return int(node.group())
+    try:
+        return int(node.group())
+    except ValueError:  # past sys.get_int_max_str_digits()
+        _err(node, f"integer too long for {what}")
 
 
 # spec head -> (operator class, number of operands)
@@ -189,7 +194,7 @@ def parse_spec(text: str) -> SpecAst:
         if name == "prob":
             return _build_prob(node)
     expr = _build_expr(node)
-    return ExprSpec(expr, max(1, expr_arity(expr)))
+    return ExprSpec(expr, expr_arity(expr))
 
 
 def _build_prob(node: list) -> ProbSpec:

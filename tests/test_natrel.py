@@ -127,6 +127,18 @@ def test_semi_to_enum_nonempty_replaces_failures_with_the_default():
     assert all(geq.enumerate(4, j) >= 4 for j in range(10**4))
 
 
+def test_semi_to_enum_nonempty_calls_the_default_only_on_failing_slots():
+    divides = dec_to_semi(relation_by_name("divisibility"))
+    calls = []
+    enum = semi_to_enum_nonempty(divides, lambda x: calls.append(x) or 0)
+    assert enum.name == "divisibility-nonempty"
+    plain = semi_to_enum(divides)
+    for j in range(2000):
+        expected = plain.enumerate(3, j)
+        assert enum.enumerate(3, j) == (0 if expected is FAIL else expected)
+    assert len(calls) == sum(plain.enumerate(3, j) is FAIL for j in range(2000)) > 0
+
+
 def test_nonempty_default_contract_holds_for_the_samples_used():
     # the default function must land in the row; sampled against the
     # semi-decision, since the constructor itself never re-checks it

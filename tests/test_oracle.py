@@ -1,3 +1,4 @@
+import gc
 import random
 from collections import Counter
 from fractions import Fraction
@@ -12,6 +13,7 @@ from realcomp import (
     Const,
     Converged,
     IntervalMachine,
+    Min,
     Mul,
     Neg,
     NoConvergence,
@@ -105,8 +107,13 @@ def test_band_machine_semi_decides_the_open_band():
 
 def test_expr_arity_and_unbound_variables():
     assert expr_arity(Add(Var(0), Var(2))) == 3
-    with pytest.raises(ValueError, match="unbound"):
-        expr_to_machine(Var(1), 1)
+    # N is the arity the whole expression needs, not the first bad index
+    for expr, arity, uses in ((Var(1), 1, 2), (Add(Var(2), Var(3)), 2, 4)):
+        with pytest.raises(ValueError) as err:
+            expr_to_machine(expr, arity)
+        assert str(err.value) == (
+            f"unbound variable: expression uses {uses} argument(s), "
+            f"declared arity is {arity}")
     with pytest.raises(ValueError):
         expr_to_machine(Var(0), 0)
 
@@ -431,3 +438,40 @@ def test_structurally_equal_subterms_share_one_step():
     # neg, shift, mul and scale per iterate; the constants fold into them
     assert expr_to_machine(dag, 1).name == "plan(24 steps)"
     assert expr_to_machine(tree, 1).name == "plan(24 steps)"
+
+
+# Step counts of random_dag(random.Random(seed), 40, 2) for seed = 0, 1, ...
+_RANDOM_DAG_STEPS = [16, 24, 26, 10, 24, 13, 25, 29, 30, 33, 26, 18, 31, 19, 8, 10, 25, 7, 19, 3]
+
+
+def test_random_dags_compile_to_pinned_step_counts():
+    for seed, steps in enumerate(_RANDOM_DAG_STEPS):
+        dag = random_dag(random.Random(seed), 40, 2)
+        assert expr_to_machine(dag, 2).name == f"plan({steps} steps)"
+
+
+def test_one_literal_folds_where_it_can_and_is_a_step_where_it_cannot():
+    c, x = Const(F(3, 2)), Var(0)
+    # scale for c * x; const and min for min(c, x); then add
+    for expr in (Add(Mul(c, x), Min(c, x)), Add(Min(c, x), Mul(c, x))):
+        machine = expr_to_machine(expr, 1)
+        assert machine.name == "plan(4 steps)"
+        outcome = refine(machine, [from_rational(1)], F(1, 2**10), 50)
+        assert isinstance(outcome, Converged)
+        assert abs(outcome.value - F(5, 2)) <= outcome.accuracy
+
+
+def test_walks_leave_no_cyclic_garbage():
+    # each walk's memo is freed by reference counting when it returns
+    dag = logistic_dag(12)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for walk in (lambda: expr_arity(dag), lambda: eval_expr(dag, [F(1, 3)]),
+                     lambda: expr_to_machine(dag, 1)):
+            walk()
+            assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

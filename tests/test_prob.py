@@ -230,8 +230,9 @@ def test_sampler_streams_are_reproducible():
     u = Sampler(7).next_unit()
     assert 0 <= u < 1
     assert Sampler(7).next_unit() == u
-    assert spawn_seed(42, 0) == spawn_seed(42, 0)
-    assert spawn_seed(42, 0) != spawn_seed(42, 1)
+    assert spawn_seed(42, 0) == spawn_seed(42, 0) == 13679457532755275413
+    assert spawn_seed(42, 1) == 2949826092126892291
+    assert spawn_seed(2**70 + 5, 3) == 15631774881688914435
 
 
 def test_empirical_frequency_is_deterministic_and_counts_selections():
