@@ -12,17 +12,25 @@ mass queries return a certified lower bound plus the total mass whose
 proximity to the target could not be settled at the requested accuracy.
 
 Sampling is deterministic given a seed.  The generator is splitmix64:
-state advances by the 64-bit golden-ratio increment 0x9E3779B97F4A7C15
+state advances by the 64-bit golden-ratio increment γ = 0x9E3779B97F4A7C15
 and each output is the state mixed by two xor-shift-multiply rounds
 (constants 0xBF58476D1CE4E5B9 and 0x94D049BB133111EB, final shift 31).
 Uniform draws are the exact rationals u = k / 2^64 with k the next
 64-bit output, so inverse-CDF selection over rational cumulative masses
 is exact.  An algorithm sums its masses once, into the table of the
-cumulative masses c that it checks against 1.  select_index bisects the
-table with any rational u; empirical_frequency (the CLI's freq) bisects
-the integer cut points ceil(c * 2^64) with the raw draw k.  For parallel
-streams, derive child seeds with spawn_seed(seed, stream_index) rather
-than reusing the parent sampler.
+cumulative masses c that it checks against 1; select_index bisects the
+table with any rational u.  For parallel streams, derive child seeds
+with spawn_seed(seed, stream_index) rather than reusing the parent sampler.
+
+The states s + γ, s + 2γ, ... form an arithmetic progression, so draws
+are made 2^10 at a time in one Python int, one 128-bit lane per draw
+(SIMD within a register): each mixing step acts on the whole int, and
+every lane is cut to 64 bits before a multiply, so no product carries
+into the next lane.  empirical_frequency (the CLI's freq) compares all
+lanes z with an integer cut point ceil(c * 2^64) in one subtraction:
+lane i of (2^64 - 1 + cut) - z has bit 64 set iff draw i is below it.  A
+branch's count is a bit_count and its first draw the lowest set bit, so
+no Python code runs once per draw.  Sampler.next_u64 is one lane.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import accumulate
 from typing import Optional, Sequence
 
@@ -125,27 +133,59 @@ class MassReport:
             raise ValueError(f"inconsistent mass report: {self}")
 
 
+_GAMMA = 0x9E3779B97F4A7C15
+_MASK = (1 << 64) - 1
+# Draws per lane int: one 128-bit lane per draw, so 16 KB per int.  The
+# dozen ints a chunk keeps live then stay in cache: at 5,000-15,000 draws
+# a call, 2^12 draws a chunk ran about 1.3x slower.
+_CHUNK = 1 << 10
+
+
+@cache
+def _full_lanes() -> tuple:
+    """ones, steps, low over _CHUNK lanes: 1, (i+1)·γ and 2^64 - 1 in lane i.
+
+    Built by doubling on the first draw of the process, then kept.
+    """
+    ones, ranks, bits = 1, 1, 128
+    while bits < _CHUNK << 7:
+        ranks |= (ranks + ones * (bits >> 7)) << bits
+        ones |= ones << bits
+        bits <<= 1
+    return ones, ranks * _GAMMA, ones * _MASK
+
+
+def _lanes(count: int) -> tuple:
+    """_full_lanes() cut down to its first count <= _CHUNK lanes."""
+    if count == _CHUNK:
+        return _full_lanes()
+    keep = (1 << (count << 7)) - 1
+    return tuple(v & keep for v in _full_lanes())
+
+
+def _splitmix(state: int, ones: int, steps: int, low: int) -> int:
+    """splitmix64's outputs for the states state + (i+1)·γ, one per lane.
+
+    Every lane is cut to 64 bits before each multiply, so a 64×64-bit
+    product fills its own 128-bit lane and never carries into the next.
+    """
+    z = (steps + ones * state) & low
+    z = ((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
+    z = ((z ^ (z >> 27)) & low) * 0x94D049BB133111EB & low
+    return (z ^ (z >> 31)) & low
+
+
 class Sampler:
     """Deterministic seedable generator of exact uniform rationals in [0, 1)."""
 
-    _GAMMA = 0x9E3779B97F4A7C15
-    _MASK = (1 << 64) - 1
-
     def __init__(self, seed: int):
-        self._state = seed & self._MASK
+        self._state = seed & _MASK
         self.seed = seed
 
-    def _draws(self, n: int):
-        """The next n 64-bit outputs; the state is stored as each is drawn."""
-        gamma, mask, state = self._GAMMA, self._MASK, self._state
-        for _ in range(n):
-            self._state = state = (state + gamma) & mask
-            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-            yield z ^ (z >> 31)
-
     def next_u64(self) -> int:
-        return next(self._draws(1))
+        state = self._state
+        self._state = (state + _GAMMA) & _MASK
+        return _splitmix(state, *_lanes(1))
 
     def next_unit(self) -> Fraction:
         """The next uniform rational k / 2^64 in [0, 1)."""
@@ -154,7 +194,7 @@ class Sampler:
 
 def spawn_seed(seed: int, stream_index: int) -> int:
     """Child seed for an independent stream; documented and reproducible."""
-    child = Sampler(seed ^ (stream_index * Sampler._GAMMA))
+    child = Sampler(seed ^ (stream_index * _GAMMA))
     return child.next_u64()
 
 
@@ -167,14 +207,15 @@ def select_index(alg: DiscreteProbAlgorithm, u) -> int:
     return bisect_right(alg._cumulative, u)
 
 
-def _draw_selector(alg: DiscreteProbAlgorithm):
-    """k -> select_index(alg, k / 2^64) for 64-bit draws k, on integers.
+def _cut_points(alg: DiscreteProbAlgorithm) -> list:
+    """ceil(c * 2^64) for each cumulative mass c: k / 2^64 < c iff k < it."""
+    return [-((-c.numerator << 64) // c.denominator) for c in alg._cumulative]
 
-    For each cumulative mass c, k / 2^64 < c iff k < ceil(c * 2^64), so
-    the branch is the number of these cut points at or below k.
-    """
-    cuts = [-((-c.numerator << 64) // c.denominator) for c in alg._cumulative]
-    return partial(bisect_right, cuts)
+
+def _draw_selector(alg: DiscreteProbAlgorithm):
+    """k -> select_index(alg, k / 2^64) for 64-bit draws k, on integers:
+    the branch is the number of cut points at or below k."""
+    return partial(bisect_right, _cut_points(alg))
 
 
 def sample(
@@ -247,11 +288,27 @@ def empirical_frequency(
     """
     if n < 1:
         raise ValueError(f"need at least one sample, got {n}")
+    *cuts, _ = _cut_points(alg)  # the last is 2^64: every draw lies below it
     counts = [0] * len(alg.branches)
-    for index in map(_draw_selector(alg), sampler._draws(n)):
-        if not counts[index]:
+    start = sampler._state
+    # bit 64 of a lane of limit - z is set iff the lane's draw is below cut;
+    # a shorter last chunk's high drops the lanes of limit it has no draw for
+    ones = _lanes(min(n, _CHUNK))[0]
+    limits = [ones * (_MASK + cut) for cut in cuts]
+    for done in range(0, n, _CHUNK):
+        ones, steps, low = _lanes(min(n - done, _CHUNK))
+        z = _splitmix((start + done * _GAMMA) & _MASK, ones, steps, low)
+        high, below, fresh = ones << 64, 0, []
+        for index, up_to in enumerate([(limit - z) & high for limit in limits] + [high]):
+            drawn, below = up_to ^ below, up_to
+            if drawn:
+                if not counts[index]:
+                    fresh.append(((drawn & -drawn).bit_length() >> 7, index))
+                counts[index] += drawn.bit_count()
+        for first, index in sorted(fresh):
+            sampler._state = (start + (done + first + 1) * _GAMMA) & _MASK
             _required(refine(alg.branches[index].machine, [x], accuracy, fuel))
-        counts[index] += 1
+    sampler._state = (start + n * _GAMMA) & _MASK
     return counts
 
 

@@ -117,18 +117,27 @@ _DYADIC_RE = re.compile(r"^2\^-(\d+)$")
 _MAX_DYADIC_EXPONENT = 65536
 
 
+def _int(digits: str, what: str) -> int:
+    """int(digits); past sys.get_int_max_str_digits(), a ValueError naming `what`."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ValueError(f"{what} too long: {len(digits.lstrip('+-'))} digits") from None
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "n" or "n/d" with decimal integers and positive denominator.
 
     The grammar is deliberately strict: no whitespace inside, no decimal
     points, no sign on the denominator.  This is the bit-exact text form
-    used at the command-line boundary.
+    used at the command-line boundary.  An integer longer than the
+    interpreter's int-to-string limit is refused in words of our own.
     """
     m = _RATIONAL_RE.match(text.strip())
     if not m:
         raise ValueError(f"not a rational: {text!r} (expected 'n' or 'n/d')")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) is not None else 1
+    num = _int(m.group(1), "numerator")
+    den = _int(m.group(2), "denominator") if m.group(2) is not None else 1
     if den == 0:
         raise ValueError(f"zero denominator in {text!r}")
     return Fraction(num, den)
@@ -139,7 +148,7 @@ def parse_accuracy(text: str) -> Fraction:
     text = text.strip()
     m = _DYADIC_RE.match(text)
     if m:
-        k = int(m.group(1))
+        k = _int(m.group(1), "exponent of 2^-k")
         if k > _MAX_DYADIC_EXPONENT:
             raise ValueError(f"accuracy 2^-k needs k <= {_MAX_DYADIC_EXPONENT}")
         value = Fraction(1, 1 << k)

@@ -1,11 +1,12 @@
 """Shared helpers: seeded rational and expression sampling, the
 soundness harness, the catalog-tree reference compiler, a counter of the
-plan runner's ball roundings, and the interval rules restated on
-Fractions."""
+plan runner's ball roundings, the interval rules restated on
+Fractions, and the interpreter's int-to-string digit limit."""
 
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import fields
 from fractions import Fraction
 
@@ -40,6 +41,9 @@ from realcomp import (
 )
 from realcomp import machine as _machine
 from realcomp.oracle import _OPERATORS
+
+# The interpreter's int-to-string digit limit, 0 where there is none
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 # The operator table with mul five times over: products double the bits
 # of their operands, so DAGs over it reach the plan runner's rounding.

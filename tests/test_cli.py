@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from realcomp.cli import _build_parser, main
 
+from helpers import INT_DIGITS
+
 CHI_SPEC = "(chi-pos (var 0))"
 TAIL_SPEC = "(tail (var 0) (add (var 0) (rat 1 1)))"
 PROB_SPEC = (
@@ -227,6 +229,28 @@ def test_answers_longer_than_the_int_digit_limit_print_in_full(capsys, spec_file
     assert (code, err) == (0, "") and out.startswith("r=1/9 eps=")
     num, den = out.split("eps=")[1].split("/")
     assert len(den) > 4300 and int(Decimal(num)) << 8000 <= int(Decimal(den))
+
+
+@pytest.mark.skipif(not INT_DIGITS, reason="no int-to-string limit")
+def test_numeric_flags_past_the_int_digit_limit_get_a_message_of_their_own(
+        capsys, spec_file):
+    # one digit past the limit; Python's own text advises a call no CLI user can make
+    long = "7" * (INT_DIGITS + 1)
+    path = spec_file("(var 0)")
+    cases = [
+        (["--x", f"1/{long}", "--accuracy", "1/4"], "--x: denominator too long"),
+        (["--x", f"-{long}", "--accuracy", "1/4"], "--x: numerator too long"),
+        (["--x", "1", "--accuracy", f"{long}/3"], "--accuracy: numerator too long"),
+        (["--x", "1", "--accuracy", f"1/{long}"], "--accuracy: denominator too long"),
+        (["--x", "1", "--accuracy", f"2^-{long}"], "--accuracy: exponent of 2^-k too long"),
+    ]
+    for argv, message in cases:
+        code, out, err = run_cli(capsys, ["eval", "--spec", path] + argv)
+        assert (code, out) == (2, "")
+        # argparse names the program before "error:", as for every flag it refuses
+        assert err.splitlines()[-1] == (
+            f"realcomp eval: error: argument {message}: {INT_DIGITS + 1} digits")
+        assert "set_int_max_str_digits" not in err
 
 
 def logistic_spec(k):

@@ -1,6 +1,9 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
+from itertools import islice
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -37,7 +40,8 @@ from realcomp import (
     select_index,
     spawn_seed,
 )
-from realcomp.prob import _draw_selector
+from realcomp import prob
+from realcomp.prob import _CHUNK, _draw_selector
 
 F = Fraction
 
@@ -328,6 +332,127 @@ def test_cut_points_select_like_select_index(masses, draws, seed):
         counts[select_index(alg, replay.next_unit())] += 1
     x = from_rational(0)
     assert empirical_frequency(alg, x, n, Sampler(seed), F(1, 8), 100) == counts
+
+
+def splitmix64(seed):
+    """The scalar splitmix64 stream, one output at a time, as a reference."""
+    gamma, mask = 0x9E3779B97F4A7C15, (1 << 64) - 1
+    state = seed & mask
+    while True:
+        state = (state + gamma) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        yield z ^ (z >> 31)
+
+
+def replay(alg, seed, n):
+    """Branch indices of the first n draws, one select_index per draw."""
+    stream = splitmix64(seed)
+    return [select_index(alg, F(next(stream), 2**64)) for _ in range(n)]
+
+
+def test_sampler_draws_the_scalar_splitmix64_stream():
+    for seed in (0, 1, 12345, 2**64 - 1, 2**64, 2**200 + 3):
+        sampler, stream = Sampler(seed), splitmix64(seed)
+        expected = [next(stream) for _ in range(40)]
+        assert [sampler.next_u64() for _ in range(40)] == expected
+        assert Sampler(seed).next_unit() == F(expected[0], 2**64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    masses=mass_vectors(),
+    seed=st.one_of(st.sampled_from([0, 2**64 - 1, 2**64, 2**64 + 1, 2**130 + 7]),
+                   st.integers(0, 2**80)),
+    n=st.sampled_from([1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3]),
+)
+@example(masses=[F(0), F(1, 3), F(0), F(2, 3), F(0)], seed=2**64 - 1, n=2 * _CHUNK + 3)
+def test_empirical_frequency_counts_like_a_scalar_replay(masses, seed, n):
+    machines = [expr_to_machine(X, 1) for _ in masses]
+    alg = make_prob([ProbBranch(m, mass) for m, mass in zip(machines, masses)])
+    picks = replay(alg, seed, n)
+    sampler, refined, refine = Sampler(seed), [], prob.refine
+
+    def recording(machine, *args):
+        refined.append(machine)
+        return refine(machine, *args)
+
+    with patch.object(prob, "refine", recording):
+        counts = empirical_frequency(alg, from_rational(0), n, sampler, F(1, 8), 100)
+    assert counts == [picks.count(i) for i in range(len(masses))]
+    # each selected branch is refined once, in the order of its first draw
+    assert refined == [machines[i] for i in dict.fromkeys(picks)]
+    # the next draw is draw n + 1
+    assert sampler.next_u64() == next(islice(splitmix64(seed), n, None))
+
+
+def test_draws_at_a_cut_point_count_like_a_scalar_replay():
+    # a cut point at draw j + d, d in {0, 1}: draw j lies exactly on it or
+    # just below it, at lane edges and in the middle of a chunk
+    for seed in (0, 2**64 - 1, 99):
+        stream = splitmix64(seed)
+        draws = [next(stream) for _ in range(2 * _CHUNK + 3)]
+        for j in (0, 1, _CHUNK // 2, _CHUNK - 1, _CHUNK, 2 * _CHUNK + 2):
+            for d in (0, 1):
+                cut = F(draws[j] + d, 2**64)
+                alg = algorithm([(X, cut / 2), (X, cut / 2), (X, 1 - cut)])
+                n = 2 * _CHUNK + 3
+                picks = replay(alg, seed, n)
+                assert (picks[j] < 2) is bool(d)
+                counts = empirical_frequency(alg, from_rational(0), n, Sampler(seed),
+                                             F(1, 8), 100)
+                assert counts == [picks.count(i) for i in range(3)]
+
+
+def test_a_divergence_first_drawn_in_the_second_chunk_raises_just_past_it():
+    # at x = 1, chi-pos(-x) answers INF at every step and x at fuel 3 never
+    # reaches 2^-10; two rare such branches sit among converging ones
+    infinite = expr_to_machine(ChiPos(Neg(X)), 1)
+    finite = expr_to_machine(X, 1)
+    converging = IntervalMachine(1, lambda query: Answer(0, F(1, 2**20)))
+    rare = F(1, 2048)
+    alg = make_prob([ProbBranch(converging, F(1, 2)), ProbBranch(infinite, rare),
+                     ProbBranch(finite, rare), ProbBranch(converging, F(1, 2) - 2 * rare)])
+    seen = set()
+    for seed in range(400):
+        picks = replay(alg, seed, 2 * _CHUNK)
+        firsts = [picks.index(i) if i in picks else 2 * _CHUNK for i in (1, 2)]
+        first = min(firsts)
+        if not _CHUNK <= first < 2 * _CHUNK:
+            continue
+        sampler = Sampler(seed)
+        with pytest.raises(NoConvergenceError) as raised:
+            empirical_frequency(alg, from_rational(1), 3 * _CHUNK, sampler, F(1, 1024), 3)
+        # the error is that of the first divergent branch drawn ...
+        assert raised.value.all_infinite is (picks[first] == 1)
+        # ... and the sampler is left just past that draw
+        stream = splitmix64(seed)
+        for _ in range(first + 1):
+            next(stream)
+        assert sampler.next_u64() == next(stream)
+        both = max(firsts) < 2 * _CHUNK
+        seen.add((picks[first], both))
+    # each branch diverges first, also where the other follows in the chunk
+    assert {(1, True), (2, True)} <= seen
+
+
+def test_empirical_frequency_memory_does_not_grow_with_n():
+    alg = make_prob([ProbBranch(expr_to_machine(X, 1), m)
+                     for m in (F(1, 7), F(2, 7), F(3, 7), F(1, 7))])
+    x = from_rational(0)
+    empirical_frequency(alg, x, 10, Sampler(1), F(1, 8), 100)  # builds the lanes
+    peaks = []
+    tracemalloc.start()
+    try:
+        for n in (20_000, 200_000):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            empirical_frequency(alg, x, n, Sampler(n), F(1, 8), 100)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    small, large = peaks
+    assert large <= small + 4096
 
 
 def test_mass_discontinuity_that_rules_out_pointwise_mass_functions():

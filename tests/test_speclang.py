@@ -1,6 +1,5 @@
 import random
 import re
-import sys
 from fractions import Fraction
 
 import pytest
@@ -22,7 +21,7 @@ from realcomp import (
     parse_spec,
 )
 
-from helpers import random_expr
+from helpers import INT_DIGITS, random_expr
 
 F = Fraction
 
@@ -101,9 +100,6 @@ def test_empty_and_malformed_inputs():
             parse_spec(text)
 
 
-# The interpreter's int-to-string digit limit, 0 where there is none
-_INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-
 # (text, line, col, message).  Together they reach every ParseError in
 # speclang; tabs and '\r' count one column.
 _MALFORMED = [
@@ -147,9 +143,9 @@ _MALFORMED = [
     ("(prob\n  ; over one\n  (mass 3 2 (var 0)))", 3, 9, "bad mass 3/2: not in [0, 1]"),
     ("(prob (mass -1 2 (var 0)))", 1, 13, "bad mass -1/2: not in [0, 1]"),
     pytest.param(
-        "(rat 1 " + "7" * (_INT_DIGITS + 1) + ")", 1, 8, "integer too long for rat denominator",
+        "(rat 1 " + "7" * (INT_DIGITS + 1) + ")", 1, 8, "integer too long for rat denominator",
         id="integer-past-the-int-to-string-limit",
-        marks=pytest.mark.skipif(not _INT_DIGITS, reason="no int-to-string limit"),
+        marks=pytest.mark.skipif(not INT_DIGITS, reason="no int-to-string limit"),
     ),
 ]
 
