@@ -4,16 +4,18 @@ Reads machine specifications in the s-expression language, runs
 refinement, enumeration, sampling and round-trip checks, and prints
 deterministic key=value lines.  Exit codes: 0 on success, 1 when an
 outcome is a reported non-result (no convergence, exhausted search,
-failed round trip), 2 on usage or parse errors.
+failed round trip), 2 on usage or parse errors, each refused in one
+stderr line "error: <message>", argparse's own too (--help exits 0).
 
-All numeric flags use the exact rational syntax "n" or "n/d"; accuracy
-flags also accept the dyadic shorthand "2^-k".  No floating point
+Numeric flags use the exact syntax "n", and rational ones also "n/d";
+accuracy flags also accept the dyadic shorthand "2^-k".  No floating point
 crosses this boundary.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from decimal import Decimal
 from functools import cache
@@ -24,14 +26,13 @@ from .natrel import equivalence_report, relation_by_name, RELATION_CATALOG
 from .oracle import expr_to_machine, from_rational
 from .prob import (
     DiscreteProbAlgorithm,
-    MassSumInvalid,
     ProbBranch,
     Sampler,
     empirical_frequency,
     outcome_mass,
     sample,
 )
-from .rational import parse_accuracy, parse_rational
+from .rational import _int, parse_accuracy, parse_rational
 from .relation import (
     RealEnumRel,
     enumerate_witnesses,
@@ -39,13 +40,20 @@ from .relation import (
     make_tail_rel,
     member_semi,
 )
-from .speclang import ExprSpec, ParseError, ProbSpec, RelSpec, parse_spec
+from .speclang import ExprSpec, ProbSpec, RelSpec, parse_spec
 
 __all__ = ["main", "run_command"]
 
 
 class UsageError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Refuses through UsageError, as run_command does; subparsers inherit it."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 # Largest values the command line accepts for its size flags, by argparse
@@ -66,10 +74,17 @@ def _flag(parse):
     return flag
 
 
+def _integer(text: str) -> int:
+    """A decimal integer flag, read as parse_rational reads a numerator."""
+    if not re.fullmatch(r"[+-]?\d+", text.strip()):
+        raise ValueError(f"invalid int value: {text!r}")
+    return _int(text.strip(), "integer")
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     """Built on the first main() call and reused: parsing never changes it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="realcomp",
         description="exact real computation: interval-query machines, "
         "enumerable relations, discrete probabilistic algorithms",
@@ -89,16 +104,16 @@ def _build_parser() -> argparse.ArgumentParser:
         if accuracy:
             p.add_argument("--accuracy", type=_flag(parse_accuracy), required=True,
                            help="target accuracy: n/d or 2^-k")
-        p.add_argument("--fuel", type=int, default=1000,
+        p.add_argument("--fuel", type=_flag(_integer), default=1000,
                        help="refinement step budget (default 1000, at most 10^6)")
         if max_index:
-            p.add_argument("--max-index", type=int, default=10, dest="max_index",
-                           help="last index of the search window "
+            p.add_argument("--max-index", type=_flag(_integer), default=10,
+                           dest="max_index", help="last index of the search window "
                            "(default 10, at most 10^5)")
         if seed:
-            p.add_argument("--seed", type=int, default=0, help="sampler seed")
+            p.add_argument("--seed", type=_flag(_integer), default=0, help="sampler seed")
         if n:
-            p.add_argument("--n", type=int, default=1000,
+            p.add_argument("--n", type=_flag(_integer), default=1000,
                            help="number of samples (default 1000, at most 10^6)")
 
     p = sub.add_parser("eval", help="refine a machine at rational inputs")
@@ -125,9 +140,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("natcheck", help="round-trip a relation over the naturals")
     p.add_argument("--construction", required=True, choices=["roundtrip"])
     p.add_argument("--relation", required=True, choices=sorted(RELATION_CATALOG))
-    p.add_argument("--bound", type=int, required=True,
+    p.add_argument("--bound", type=_flag(_integer), required=True,
                    help="check all pairs with coordinates <= bound (at most 100)")
-    p.add_argument("--fuel", type=int, default=10**6,
+    p.add_argument("--fuel", type=_flag(_integer), default=10**6,
                    help="search budget (default 10^6, at most 10^6)")
     return parser
 
@@ -282,14 +297,11 @@ def run_command(args) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
-        return run_command(args)
-    except (UsageError, ParseError, MassSumInvalid, ValueError) as exc:
+        return run_command(_build_parser().parse_args(argv))
+    except SystemExit:  # only --help exits; refusals raise UsageError
+        return 0
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NoConvergenceError as exc:

@@ -30,7 +30,8 @@ into the next lane.  empirical_frequency (the CLI's freq) compares all
 lanes z with an integer cut point ceil(c * 2^64) in one subtraction:
 lane i of (2^64 - 1 + cut) - z has bit 64 set iff draw i is below it.  A
 branch's count is a bit_count and its first draw the lowest set bit, so
-no Python code runs once per draw.  Sampler.next_u64 is one lane.
+no Python code runs once per draw.  All chunks share one cached lane
+table, the last counting only its own lanes; next_u64 mixes one lane.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from itertools import accumulate
 from typing import Optional, Sequence
 
@@ -145,7 +146,7 @@ _CHUNK = 1 << 10
 def _full_lanes() -> tuple:
     """ones, steps, low over _CHUNK lanes: 1, (i+1)·γ and 2^64 - 1 in lane i.
 
-    Built by doubling on the first draw of the process, then kept.
+    Built by doubling on the first empirical_frequency call, then kept.
     """
     ones, ranks, bits = 1, 1, 128
     while bits < _CHUNK << 7:
@@ -153,14 +154,6 @@ def _full_lanes() -> tuple:
         ones |= ones << bits
         bits <<= 1
     return ones, ranks * _GAMMA, ones * _MASK
-
-
-def _lanes(count: int) -> tuple:
-    """_full_lanes() cut down to its first count <= _CHUNK lanes."""
-    if count == _CHUNK:
-        return _full_lanes()
-    keep = (1 << (count << 7)) - 1
-    return tuple(v & keep for v in _full_lanes())
 
 
 def _splitmix(state: int, ones: int, steps: int, low: int) -> int:
@@ -185,7 +178,7 @@ class Sampler:
     def next_u64(self) -> int:
         state = self._state
         self._state = (state + _GAMMA) & _MASK
-        return _splitmix(state, *_lanes(1))
+        return _splitmix(state, 1, _GAMMA, _MASK)
 
     def next_unit(self) -> Fraction:
         """The next uniform rational k / 2^64 in [0, 1)."""
@@ -210,12 +203,6 @@ def select_index(alg: DiscreteProbAlgorithm, u) -> int:
 def _cut_points(alg: DiscreteProbAlgorithm) -> list:
     """ceil(c * 2^64) for each cumulative mass c: k / 2^64 < c iff k < it."""
     return [-((-c.numerator << 64) // c.denominator) for c in alg._cumulative]
-
-
-def _draw_selector(alg: DiscreteProbAlgorithm):
-    """k -> select_index(alg, k / 2^64) for 64-bit draws k, on integers:
-    the branch is the number of cut points at or below k."""
-    return partial(bisect_right, _cut_points(alg))
 
 
 def sample(
@@ -291,14 +278,14 @@ def empirical_frequency(
     *cuts, _ = _cut_points(alg)  # the last is 2^64: every draw lies below it
     counts = [0] * len(alg.branches)
     start = sampler._state
-    # bit 64 of a lane of limit - z is set iff the lane's draw is below cut;
-    # a shorter last chunk's high drops the lanes of limit it has no draw for
-    ones = _lanes(min(n, _CHUNK))[0]
-    limits = [ones * (_MASK + cut) for cut in cuts]
+    ones, steps, low = _full_lanes()
+    # bit 64 of a lane of limit - z is set iff the lane's draw is below cut
+    limits, high = [ones * (_MASK + cut) for cut in cuts], ones << 64
     for done in range(0, n, _CHUNK):
-        ones, steps, low = _lanes(min(n - done, _CHUNK))
         z = _splitmix((start + done * _GAMMA) & _MASK, ones, steps, low)
-        high, below, fresh = ones << 64, 0, []
+        if n - done < _CHUNK:  # the last chunk counts only its own lanes
+            high &= (1 << ((n - done) << 7)) - 1
+        below, fresh = 0, []
         for index, up_to in enumerate([(limit - z) & high for limit in limits] + [high]):
             drawn, below = up_to ^ below, up_to
             if drawn:

@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import islice
 from unittest.mock import patch
@@ -41,7 +42,7 @@ from realcomp import (
     spawn_seed,
 )
 from realcomp import prob
-from realcomp.prob import _CHUNK, _draw_selector
+from realcomp.prob import _CHUNK, _cut_points
 
 F = Fraction
 
@@ -319,12 +320,13 @@ def mass_vectors(draw):
 def test_cut_points_select_like_select_index(masses, draws, seed):
     machine = expr_to_machine(X, 1)
     alg = make_prob([ProbBranch(machine, m) for m in masses])
-    select = _draw_selector(alg)
+    # the branch of a 64-bit draw k is the number of cut points at or below k
+    points = _cut_points(alg)
     cumulative = [sum(masses[: i + 1]) for i in range(len(masses))]
     cuts = [math.ceil(c * 2**64) for c in cumulative]
     edges = [k for cut in cuts for k in (cut - 1, cut) if 0 <= k < 2**64]
     for k in draws + edges:
-        assert select(k) == select_index(alg, F(k, 2**64))
+        assert bisect_right(points, k) == select_index(alg, F(k, 2**64))
     n = 60
     replay = Sampler(seed)
     counts = [0] * len(masses)
