@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from decimal import Decimal
 from functools import cache
 from typing import Optional, Sequence
 
@@ -32,7 +31,7 @@ from .prob import (
     outcome_mass,
     sample,
 )
-from .rational import _int, parse_accuracy, parse_rational
+from .rational import _int, _text, parse_accuracy, parse_rational
 from .relation import (
     RealEnumRel,
     enumerate_witnesses,
@@ -147,12 +146,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _rat(x) -> str:
-    """str(x) of a Fraction, past str(int)'s limit: Decimal prints all digits."""
-    n, d = str(Decimal(x.numerator)), x.denominator
-    return n if d == 1 else f"{n}/{Decimal(d)}"
-
-
 def _load_spec(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -218,14 +211,14 @@ def run_command(args) -> int:
     if args.command == "eval":
         machine, oracles = _expr_machine(spec, args)
         outcome = _required(refine(machine, oracles, args.accuracy, args.fuel))
-        print(f"r={_rat(outcome.value)} eps={_rat(outcome.accuracy)}")
+        print(f"r={_text(outcome.value)} eps={_text(outcome.accuracy)}")
         return 0
 
     if args.command == "domain":
         machine, oracles = _expr_machine(spec, args)
         boxes = _required(domain_neighborhood(machine, oracles, args.fuel))
         for k, interval in enumerate(boxes):
-            print(f"arg={k} lo={_rat(interval.lo)} hi={_rat(interval.hi)}")
+            print(f"arg={k} lo={_text(interval.lo)} hi={_text(interval.hi)}")
         return 0
 
     if args.command == "enumerate":
@@ -238,7 +231,7 @@ def run_command(args) -> int:
         for i in range(last + 1):
             if i in by_index:
                 entry = by_index[i]
-                print(f"i={i} r={_rat(entry.value)} eps={_rat(entry.accuracy)}")
+                print(f"i={i} r={_text(entry.value)} eps={_text(entry.accuracy)}")
             else:
                 print(f"i={i} status=skipped")
         return 0
@@ -264,7 +257,7 @@ def run_command(args) -> int:
         index, value = sample(
             alg, from_rational(args.x), Sampler(args.seed), args.accuracy, args.fuel
         )
-        print(f"index={index} r={_rat(value)}")
+        print(f"index={index} r={_text(value)}")
         return 0
 
     if args.command == "mass":
@@ -276,7 +269,7 @@ def run_command(args) -> int:
             args.accuracy,
             args.fuel,
         )
-        print(f"lower={_rat(report.lower)} unknown={_rat(report.unknown)}")
+        print(f"lower={_text(report.lower)} unknown={_text(report.unknown)}")
         return 0
 
     if args.command == "freq":

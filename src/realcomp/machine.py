@@ -17,7 +17,11 @@ runner, ``_plan_machine``, runs compiled plans and compositions.  Query
 and Answer are validated at ``apply`` and around hand-built transitions.
 Divergence can only be observed up to an explicit fuel budget; running
 out of fuel is evidence of undefinedness, never proof, and ``_required``
-is the one place that turns it into NoConvergenceError.
+is the one place that turns it into NoConvergenceError.  At exact rational
+inputs order is decidable: where a compiled plan's ``_undefined`` test
+finds the expression undefined, some chi-pos operand is <= 0 and lies in
+every ball its slot holds, so every step answers INF, and ``_schedule``
+returns that outcome without running them.
 
 The plan runner alone rounds, midpoint-radius as in Arb: with e the bit
 length of the query's largest tolerance denominator plus 16, a finite
@@ -37,7 +41,7 @@ from math import gcd
 from operator import itemgetter
 from typing import Callable, Sequence, Union
 
-from .rational import INF, Accuracy, Interval, _positive, as_fraction
+from .rational import INF, Accuracy, Interval, _positive, _text, as_fraction
 
 __all__ = [
     "Query",
@@ -118,6 +122,8 @@ class IntervalMachine:
     transition: Callable[[Query], Answer]
     name: str = "machine"
     _step: Callable[..., tuple] = field(default=None, compare=False)
+    # exact input values -> True where the machine is certainly undefined
+    _undefined: Callable[[list], bool] = field(default=None, compare=False)
 
     def __post_init__(self):
         if self._step is None:
@@ -182,6 +188,7 @@ class NoConvergenceError(RuntimeError):
 
 
 Oracle = Callable[[Fraction], Fraction]
+_CAP = 1 << 34  # the plan runner's first rounding cap, shared with _undefined
 
 
 def _schedule(machine, oracles, fuel, gn, gd, wide):
@@ -189,6 +196,9 @@ def _schedule(machine, oracles, fuel, gn, gd, wide):
     and runs the integer step on their answers at tolerance 2^(wide-n),
     wide 0 or 1.  Returns (n, approximations, value) at the first finite
     accuracy <= gn/gd (gd = 0 takes any), NoConvergence when fuel is out.
+    Where step 0 answers INF, every oracle is exact and the machine's
+    _undefined test holds there, every later step would answer INF too, so
+    it returns that NoConvergence(fuel, True) without running them.
     """
     if len(oracles) != machine.arity:
         raise ValueError(
@@ -197,7 +207,7 @@ def _schedule(machine, oracles, fuel, gn, gd, wide):
         )
     if fuel < 1:
         raise ValueError(f"fuel must be >= 1, got {fuel}")
-    step = machine._step
+    step, undefined = machine._step, machine._undefined
     all_infinite = True
     wn, wd = 1 << wide, 1
     for n in range(fuel):
@@ -208,6 +218,10 @@ def _schedule(machine, oracles, fuel, gn, gd, wide):
             all_infinite = False
             if tn * gd <= gn * td:
                 return n, approxes, (qn, qd, tn, td)
+        elif not n and undefined is not None:
+            xs = [getattr(oracle, "_exact", None) for oracle in oracles]
+            if None not in xs and undefined(xs):
+                return NoConvergence(fuel, True)
         # halve the query tolerance in lowest terms: 2, 1, 1/2, 1/4, ...
         wn, wd = 1, wd << (wn & 1)
     return NoConvergence(fuel, all_infinite)
@@ -411,13 +425,13 @@ def _chi_pos_rule(x):
 # Machine catalog
 
 
-def _rule_machine(rule, arity: int, name: str) -> IntervalMachine:
+def _rule_machine(rule, arity: int, name: str, undefined=None) -> IntervalMachine:
     """The machine whose integer step is `rule`, with the derived transition."""
 
     def transition(query: Query) -> Answer:
         return _answer(rule(*[_value(q, tol) for q, tol in query.components]))
 
-    return IntervalMachine(arity, transition, name, rule)
+    return IntervalMachine(arity, transition, name, rule, undefined)
 
 
 def _round_ball(value, e):
@@ -429,13 +443,13 @@ def _round_ball(value, e):
     return m // gm, one // gm, r // gr, one // gr
 
 
-def _plan_machine(steps, arity: int, root: int, name: str) -> IntervalMachine:
+def _plan_machine(steps, arity: int, root: int, name: str, undefined=None) -> IntervalMachine:
     """The one plan runner.  Slots 0 .. arity-1 hold the query's values;
     each (step, operand slots) pair fills the next slot, and the machine
     answers slot `root`.  An infinite value in any other slot answers
     (0, INF) at once: an uncertified operand leaves nothing above it.
     Step values past 2^(2e) are rounded, but not a query value that a
-    step passes on unchanged; e is found once a value passes 2^34.
+    step passes on unchanged; e is found once a value passes _CAP.
     """
     # gather each step's operands in one C call; one operand is a 1-slice
     steps = [(rule, itemgetter(*ks) if len(ks) > 1 else itemgetter(slice(*ks, ks[0] + 1)))
@@ -443,7 +457,7 @@ def _plan_machine(steps, arity: int, root: int, name: str) -> IntervalMachine:
 
     def step(*values):
         vals = list(values)
-        cap, e = 1 << 34, 0
+        cap, e = _CAP, 0
         for rule, gather in steps:
             value = rule(*gather(vals))
             if not value[3]:
@@ -458,7 +472,7 @@ def _plan_machine(steps, arity: int, root: int, name: str) -> IntervalMachine:
             vals.append(value)
         return vals[root]
 
-    return _rule_machine(step, arity, name)
+    return _rule_machine(step, arity, name, undefined)
 
 
 def proj(index: int, arity: int) -> IntervalMachine:
@@ -477,14 +491,14 @@ def const_machine(value, arity: int = 1) -> IntervalMachine:
     """Constant machine; answers the constant at the finest query tolerance."""
     value = as_fraction(value)
     rule = partial(_const_rule, value.as_integer_ratio())
-    return _rule_machine(rule, arity, f"const({value})")
+    return _rule_machine(rule, arity, f"const({_text(value)})")
 
 
 def shift_machine(offset) -> IntervalMachine:
     """x + offset for an exact rational offset; tolerance passes through."""
     offset = as_fraction(offset)
     rule = partial(_shift_rule, offset.as_integer_ratio())
-    return _rule_machine(rule, 1, f"shift({offset})")
+    return _rule_machine(rule, 1, f"shift({_text(offset)})")
 
 
 def scale_machine(factor) -> IntervalMachine:
@@ -493,7 +507,7 @@ def scale_machine(factor) -> IntervalMachine:
     if factor == 0:
         raise ValueError("scale factor must be nonzero; use const_machine(0)")
     rule = partial(_scale_rule, factor.as_integer_ratio())
-    return _rule_machine(rule, 1, f"scale({factor})")
+    return _rule_machine(rule, 1, f"scale({_text(factor)})")
 
 
 def neg_machine() -> IntervalMachine:

@@ -28,12 +28,13 @@ does not fold.  A zero factor does not fold:
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Sequence
 
 from .machine import (
+    _CAP,
     IntervalMachine,
     _add_rule,
     _chi_pos_rule,
@@ -49,7 +50,7 @@ from .machine import (
     _sub_rule,
     refine,
 )
-from .rational import _positive, as_fraction
+from .rational import _positive, _text, as_fraction
 
 __all__ = [
     "RealOracle",
@@ -78,10 +79,12 @@ class RealOracle:
 
     Contract (checked by tests for the catalog constructions): there is a
     single real x with |x - ask(tol)| <= tol for every positive tol.
+    An exact presentation of a rational also carries it as _exact.
     """
 
     ask: Callable[[Fraction], Fraction]
     name: str = "oracle"
+    _exact: Fraction = field(default=None, compare=False)
 
     def __call__(self, tolerance) -> Fraction:
         return self.ask(_positive(tolerance, "tolerance"))
@@ -93,7 +96,7 @@ class RealOracle:
 def from_rational(value) -> RealOracle:
     """The exact presentation of a rational: every request gets the value."""
     value = as_fraction(value)
-    return RealOracle(lambda tol: value, name=str(value))
+    return RealOracle(lambda tol: value, _text(value), value)
 
 
 def apply_machine(
@@ -395,5 +398,22 @@ def expr_to_machine(expr: RealExpr, arity: int) -> IntervalMachine:
                 return v
         return step(e.rule, (), tuple(map(slot, kids)))
 
+    def capped(e, values):
+        v = e.exact(*values)
+        if v.denominator > _CAP or abs(v.numerator) > _CAP:
+            raise OverflowError  # too large to settle here; the loop decides
+        return v
+
+    def undefined(xs) -> bool:
+        """Whether exact evaluation at xs raises Undefined, in time linear
+        in the DAG: it gives up, as False, on a value past _CAP."""
+        try:
+            _walk_dag(expr, lambda e: e.value if isinstance(e, Const) else xs[e.index], capped)
+        except Undefined:
+            return True
+        except OverflowError:
+            pass
+        return False
+
     root = slot(_walk_dag(expr, leaf, node))
-    return _plan_machine(steps, arity, root, f"plan({len(steps)} steps)")
+    return _plan_machine(steps, arity, root, f"plan({len(steps)} steps)", undefined)

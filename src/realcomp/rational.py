@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import total_ordering
 from typing import Union
@@ -74,6 +75,12 @@ Accuracy = Union[Fraction, _InfiniteAccuracy]
 
 def is_finite(accuracy: Accuracy) -> bool:
     return accuracy is not INF
+
+
+def _text(x: Fraction) -> str:
+    """str(x), past str(int)'s digit limit: Decimal prints every digit."""
+    n, d = str(Decimal(x.numerator)), x.denominator
+    return n if d == 1 else f"{n}/{Decimal(d)}"
 
 
 def _positive(value, what: str) -> Fraction:

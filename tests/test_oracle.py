@@ -1,6 +1,8 @@
 import gc
 import random
 from collections import Counter
+from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -27,6 +29,7 @@ from realcomp import (
     apply_machine,
     chi_pos,
     compose,
+    const_machine,
     domain_neighborhood,
     eval_expr,
     expr_arity,
@@ -36,6 +39,8 @@ from realcomp import (
     identity,
     parse_spec,
     refine,
+    scale_machine,
+    shift_machine,
 )
 
 from helpers import (
@@ -224,6 +229,8 @@ def test_refine_agrees_on_the_plan_the_adapter_and_the_catalog_tree(monkeypatch)
         plan = expr_to_machine(expr, arity)
         machines = (plan, adapted(plan), reference_machine(expr, arity))
         oracles = [from_rational(rand_fraction(rng)) for _ in range(arity)]
+        # the same values, but not exact oracles: the plan runs every step
+        looped = [RealOracle(o.ask) for o in oracles]
         if rng.random() < 0.5:
             target = F(1, 1 << rng.randint(0, 24))
         else:
@@ -231,14 +238,118 @@ def test_refine_agrees_on_the_plan_the_adapter_and_the_catalog_tree(monkeypatch)
         fuel = rng.randint(1, 30)
         first, *others = [refine(m, oracles, target, fuel) for m in machines]
         assert others == [first, first]
+        assert refine(plan, looped, target, fuel) == first
         seen[type(first).__name__, getattr(first, "all_infinite", None)] += 1
         first, *others = [domain_neighborhood(m, oracles, fuel) for m in machines]
         assert others == [first, first]
+        assert domain_neighborhood(plan, looped, fuel) == first
         seen["boxes" if isinstance(first, list) else "no boxes"] += 1
     assert set(seen) == {("Converged", None), ("NoConvergence", True),
                          ("NoConvergence", False), "boxes", "no boxes"}
     # the tree rounds at the same nodes as the plan, so equality is exact
     assert rounded[0] >= 40
+
+
+def test_exact_inputs_decide_divergence_as_the_loop_does():
+    """At exact rational inputs a plan may settle divergence without
+    running the loop; its refine and domain_neighborhood results must be
+    those of the same plan fed non-exact oracles, of the adapter and of
+    the catalog tree, also where a chi-pos operand is exactly 0."""
+    rng = random.Random(73)
+    seen = Counter()
+    for _ in range(300):
+        arity = rng.choice((1, 2))
+        expr = random_dag(rng, 6, arity)
+        xs = [rand_fraction(rng) for _ in range(arity)]
+        if rng.random() < 0.3:
+            try:  # move expr's value at xs to 0: the boundary of a chi-pos
+                expr = Sub(expr, Const(eval_expr(expr, xs)))
+            except Undefined:
+                pass
+        expr = with_chi_pos(rng, expr)
+        plan = expr_to_machine(expr, arity)
+        try:
+            eval_expr(expr, xs)
+            defined = True
+        except Undefined:
+            defined = False
+        decided = plan._undefined(xs)
+        assert not (decided and defined)
+        step0 = apply(plan, Query(tuple((x, F(1)) for x in xs)))
+        seen["decided"] += decided
+        seen["INF at step 0, defined"] += step0.accuracy is INF and defined
+        exact = [from_rational(x) for x in xs]
+        looped = [RealOracle(lambda tol, x=x: x) for x in xs]
+        runs = ((plan, exact), (plan, looped), (adapted(plan), exact),
+                (reference_machine(expr, arity), exact))
+        target, fuel = F(1, 1 << rng.randint(0, 24)), rng.randint(1, 40)
+        first, *others = [refine(m, o, target, fuel) for m, o in runs]
+        assert others == [first] * 3
+        if decided:
+            assert first == NoConvergence(fuel, True)
+        first, *others = [domain_neighborhood(m, o, fuel) for m, o in runs]
+        assert others == [first] * 3
+    assert seen["decided"] >= 50 and seen["INF at step 0, defined"] >= 20
+
+
+def counting_exact(value, asks):
+    """from_rational(value) with its asks appended to `asks`; a second ask
+    fails at once rather than after the whole fuel budget."""
+    oracle = from_rational(value)
+
+    def ask(tol):
+        asks.append(tol)
+        assert len(asks) <= 2, "an exact oracle was asked again"
+        return oracle.ask(tol)
+
+    return replace(oracle, ask=ask)
+
+
+def test_divergence_at_exact_inputs_asks_each_oracle_once():
+    # x - y <= 0 at every point below, the boundary x = y included
+    band = ChiPos(Sub(Var(0), Var(1)))
+    for x, y in ((F(1, 3), F(1, 2)), (F(2, 7), F(2, 7)), (F(-5), F(0))):
+        for run in (lambda m, o: refine(m, o, F(1, 2**20), 10**6),
+                    lambda m, o: domain_neighborhood(m, o, 10**6)):
+            asks_x, asks_y = [], []
+            oracles = [counting_exact(x, asks_x), counting_exact(y, asks_y)]
+            assert run(expr_to_machine(band, 2), oracles) == NoConvergence(10**6, True)
+            assert len(asks_x) == len(asks_y) == 1
+
+
+def squared(e, k: int):
+    """e squared k times over, as a DAG of k nodes."""
+    for _ in range(k):
+        e = Mul(e, e)
+    return e
+
+
+def test_the_exact_test_gives_up_past_the_cap_and_leaves_the_loop_its_outcome():
+    # Exactly, the 60th logistic iterate at 1/3 has a numerator and a
+    # denominator of the order of 2^60 bits, x squared 60 times at 1/2
+    # such a denominator alone, and (x + 1) squared at 1 such a numerator
+    # alone: the exact test gives up at the cap.  Under chi-pos(x), which
+    # answers INF at the first steps, the loop decides what those give.
+    cases = ((logistic_dag(60), F(1, 3), 2), (squared(Var(0), 60), F(1, 2), 1),
+             (squared(Add(Var(0), Const(1)), 60), F(1), 1))
+    # no expression is named in an assert: its repr would print every node
+    for big, x, fuel in cases:
+        alone = expr_to_machine(ChiPos(big), 1)
+        plan = expr_to_machine(Add(ChiPos(Var(0)), ChiPos(big)), 1)
+        assert alone._undefined([x]) is False
+        assert plan._undefined([x]) is False
+        for oracle in (from_rational(x), RealOracle(lambda tol: x)):
+            assert refine(plan, [oracle], F(1, 2), fuel) == NoConvergence(fuel, True)
+            assert domain_neighborhood(plan, [oracle], fuel) == NoConvergence(fuel, True)
+
+
+def test_display_names_print_rationals_past_the_digit_limit():
+    huge = F(1, 3**10000)
+    digits = f"1/{Decimal(3**10000)}"
+    assert from_rational(huge).name == digits
+    assert const_machine(huge).name == f"const({digits})"
+    assert shift_machine(huge).name == f"shift({digits})"
+    assert scale_machine(-huge).name == f"scale(-{digits})"
 
 
 def test_plans_that_round_are_sound_and_answer_like_the_catalog_tree(monkeypatch):

@@ -15,6 +15,7 @@ from realcomp import (
     Answer,
     ChiPos,
     Const,
+    Converged,
     IntervalMachine,
     MassReport,
     MassSumInvalid,
@@ -26,6 +27,7 @@ from realcomp import (
     ProbBranch,
     Sampler,
     Sub,
+    Undefined,
     ValidationFailed,
     Var,
     cdf_algorithm,
@@ -37,12 +39,15 @@ from realcomp import (
     from_rational,
     make_prob,
     outcome_mass,
+    refine,
     sample,
     select_index,
     spawn_seed,
 )
 from realcomp import prob
 from realcomp.prob import _CHUNK, _cut_points
+
+from helpers import random_dag
 
 F = Fraction
 
@@ -212,6 +217,48 @@ def test_outcome_mass_never_exceeds_the_exact_mass():
                 alg, from_rational(x), from_rational(y), F(1, 2**12), 500
             )
             assert report.lower <= exact <= report.lower + report.unknown
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), bits=st.integers(0, 16),
+       shift=st.sampled_from((0, F(1, 2), 1, F(3, 2), 2, 3)), boundary=st.booleans())
+def test_outcome_mass_lies_between_the_exact_sums(seed, bits, shift, boundary):
+    """With d_i = |f_i(x) - y| and m_i the masses, exactly in Fractions:
+    sum{m_i : d_i = 0, branch converges} <= lower <= sum{m_i : d_i <= acc}
+    and lower + unknown <= sum{m_i : d_i <= 2 acc or branch diverges}.
+    A branch converges when its refinement to acc/4 within the fuel does;
+    with `boundary`, one branch is chi-pos at an operand exactly 0."""
+    rng = random.Random(seed)
+    x, accuracy, fuel = F(rng.randint(-12, 12), rng.randint(1, 12)), F(1, 2**bits), 200
+    exprs = [rng.choice((e, ChiPos(e))) for e in
+             (random_dag(rng, 5) for _ in range(rng.randint(1, 4)))]
+    if boundary:
+        exprs.insert(rng.randint(0, len(exprs)), Mul(ChiPos(Sub(X, Const(x))), exprs[0]))
+    weights = [rng.randint(0, 4) for _ in exprs]
+    weights[rng.randrange(len(weights))] += 1
+    masses = [F(w, sum(weights)) for w in weights]
+    gaps, converged = [], []
+    for e in exprs:
+        outcome = refine(expr_to_machine(e, 1), [from_rational(x)], accuracy / 4, fuel)
+        converged.append(isinstance(outcome, Converged))
+        try:
+            gaps.append(eval_expr(e, [x]))
+        except Undefined:
+            assert not converged[-1]
+            gaps.append(None)
+    values = [v for v in gaps if v is not None]
+    y = (rng.choice(values) if values else x) + shift * accuracy
+    gaps = [None if v is None else abs(v - y) for v in gaps]
+    report = outcome_mass(algorithm(zip(exprs, masses)), from_rational(x),
+                          from_rational(y), accuracy, fuel)
+
+    def mass(pick):
+        return sum((m for m, d, c in zip(masses, gaps, converged) if pick(d, c)), F(0))
+
+    assert mass(lambda d, c: c and d == 0) <= report.lower
+    assert report.lower <= mass(lambda d, c: d is not None and d <= accuracy)
+    assert report.lower + report.unknown <= mass(
+        lambda d, c: not c or d <= 2 * accuracy)
 
 
 def test_outcome_mass_counts_divergent_branches_as_unknown():

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import realcomp.relation as relation_module
 from realcomp import (
@@ -18,6 +20,8 @@ from realcomp import (
     Query,
     RealEnumRel,
     RealOracle,
+    Sub,
+    Undefined,
     Var,
     WitnessEntry,
     WitnessList,
@@ -25,6 +29,7 @@ from realcomp import (
     chi_pos,
     cluster_values,
     enumerate_witnesses,
+    eval_expr,
     from_function,
     from_rational,
     make_finite_rel,
@@ -35,7 +40,7 @@ from realcomp import (
     witness,
 )
 
-from helpers import rand_query, soundness_violations
+from helpers import rand_query, random_dag, soundness_violations
 
 F = Fraction
 
@@ -165,6 +170,32 @@ def test_member_semi_certificates_survive_re_refinement():
     re_witness = witness(rel, x, index, fine, 2000)
     y_fine = y(fine)
     assert abs(re_witness.value - y_fine) <= accuracy
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), bits=st.integers(0, 16),
+       shift=st.sampled_from((0, F(1, 4), F(1, 2), 1, 2)), finite=st.booleans())
+def test_member_semi_returns_only_indices_within_the_accuracy(seed, bits, shift, finite):
+    """A returned index i has |f_i(x) - y| <= accuracy, exactly, over
+    random relations whose heads include ones divergent at the exact x:
+    chi-pos at an operand exactly 0 or below it."""
+    rng = random.Random(seed)
+    x, accuracy = F(rng.randint(-12, 12), rng.randint(1, 12)), F(1, 2**bits)
+    branches = [random_dag(rng, 5) for _ in range(rng.randint(2, 6))]
+    for _ in range(rng.randint(1, 2)):
+        below = Sub(Var(0), Const(x + rng.choice((0, 1))))
+        branches.insert(rng.randrange(len(branches)), Mul(ChiPos(below), branches[0]))
+    rel = make_finite_rel(branches) if finite else make_tail_rel(branches[:-1], branches[-1])
+    values = []
+    for e in branches:
+        try:
+            values.append(eval_expr(e, [x]))
+        except Undefined:
+            pass
+    y = rng.choice(values or [x]) + shift * accuracy
+    i = member_semi(rel, from_rational(x), from_rational(y), accuracy, 10, 200)
+    if i is not None:
+        assert abs(eval_expr(branches[min(i, len(branches) - 1)], [x]) - y) <= accuracy
 
 
 def test_from_function_project_round_trip():
