@@ -28,8 +28,9 @@ length of the query's largest tolerance denominator plus 16, a finite
 step value whose qd or td exceeds 2^(2e) gets its midpoint floored to
 the grid 2^-e and its radius rounded up to it plus 2^-e.  The new ball
 holds the old, so rules stay sound; the grid depends on the query alone,
-and a query value passed on unchanged is never rounded, so plans and
-compose trees agree on every query.
+and a query value passed on unchanged is never rounded.  A linear region
+is one step, so it is rounded at its root only: plans answer like compose
+trees of one machine per region, and per operator where nothing rounds.
 """
 
 from __future__ import annotations
@@ -282,7 +283,7 @@ def domain_neighborhood(
 # Interval rules
 #
 # Each rule maps the values of its operands to the value of its result;
-# literal parameters come first, each an integer pair (num, den).  A value
+# literal parameters, integer pairs or tuples of them, come first.  A value
 # is a flat 4-tuple (qn, qd, tn, td) of ints: the approximation qn/qd and
 # the accuracy tn/td, both in lowest terms with positive denominators, so
 # every value is the canonical rational a Fraction would hold.  Operand
@@ -368,6 +369,11 @@ def _neg_rule(x):
     return -qn, qd, tn, td
 
 
+def _sub_from_rule(c, x):
+    qn, qd, tn, td = x
+    return (*_radd(*c, -qn, qd), tn, td)
+
+
 def _add_rule(x, y):
     (q1n, q1d, t1n, t1d), (q2n, q2d, t2n, t2d) = x, y
     return (*_radd(q1n, q1d, q2n, q2d), *_radd(t1n, t1d, t2n, t2d))
@@ -390,6 +396,20 @@ def _mul_rule(x, y):
     td = q1d * t1d * q2d * t2d
     g = gcd(tn, td)
     return (*_rmul(q1n, q1d, q2n, q2d), tn // g, td // g)
+
+
+def _affine_rule(c, coefficients, *xs):
+    """c + sum a_i q_i, accuracy sum r_i t_i, for coefficients (an, ad, rn,
+    rd) per operand; each partial sum is kept in lowest terms, and a
+    product by a coefficient of 1 or -1 needs no gcd."""
+    (qn, qd), tn, td = c, 0, 1
+    for (an, ad, rn, rd), (xn, xd, un, ud) in zip(coefficients, xs):
+        if ad == 1 and an * an == 1:
+            qn, qd = _radd(qn, qd, an * xn, xd)
+        else:
+            qn, qd = _radd(qn, qd, *_rmul(an, ad, xn, xd))
+        tn, td = _radd(tn, td, un, ud) if rn == rd == 1 else _radd(tn, td, *_rmul(rn, rd, un, ud))
+    return qn, qd, tn, td
 
 
 def _rmin(a, b):

@@ -14,15 +14,17 @@ Compilation, like arity and exact evaluation, is one walk of the
 expression DAG, memoised on the subterm object and freed when it
 returns; it interns every step, so a DAG whose subterms are shared (the
 tree of the logistic iterate k grows as 2^k, its DAG as k) becomes a
-plan with one step per distinct subterm.
+plan of at most one step per distinct subterm.
 A plan is a list of (interval rule, operand slots) steps, run once per
 query by the plan runner of realcomp.machine; refinement feeds it values
 directly, and only a public transition call converts a Query.
-A literal operand folds into an exact primitive: "x + 1" is the step
-answering (q + 1, tol), "c * x" scales by c, and an operator of two
-literals is a step of the constant it evaluates to, which its parent
-does not fold.  A zero factor does not fold:
-"0 * x" is undefined wherever x is.
+Linear operators (add, sub, neg, mul by a literal c != 0) are exact on
+intervals, so each maximal linear region, cut at every subterm used more
+than once, is one step c + sum a_i q_i, radius sum r_i t_i, that runs the
+rule whose form it has ("x + 1" is the shift answering (q + 1, tol)), or
+else the affine rule.  An operator of two literals is a step of its
+constant, which its parent does not fold; "0 * x" is undefined wherever
+x is.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .machine import (
     _CAP,
     IntervalMachine,
     _add_rule,
+    _affine_rule,
     _chi_pos_rule,
     _const_rule,
     _max_rule,
@@ -44,9 +47,12 @@ from .machine import (
     _mul_rule,
     _neg_rule,
     _plan_machine,
+    _radd,
     _required,
+    _rmul,
     _scale_rule,
     _shift_rule,
+    _sub_from_rule,
     _sub_rule,
     refine,
 )
@@ -133,6 +139,7 @@ def apply_machine(
 
 class RealExpr:
     __slots__ = ()
+    children = ()  # an operator's are its operands
 
 
 @dataclass(frozen=True)
@@ -160,20 +167,20 @@ class _Operator(RealExpr):
     """An operator node.  Each concrete class is one entry of the operator
     table: `symbol` is its spec-language head, `exact` its rule on exact
     rationals, `rule` its interval rule (realcomp.machine), and the
-    dataclass fields are its children.  `fold(c, literal_left)`, if set,
-    gives for an application with one literal operand c the chain of
-    (rule, parameters) steps that computes it exactly from the other
-    operand, or None where it does not fold.  A `partial` operator is
-    never folded on literal operands: where its exact rule is undefined
-    the machine must diverge, not fail to compile.
+    dataclass fields are its children.  `weights`, where the operator is
+    a weighted sum of its children, holds one integer pair per child (a
+    product is one only where an operand is a literal, see _linear).  A
+    `partial` operator is never evaluated on literal operands: where its
+    exact rule is undefined the machine must diverge, not fail to compile.
     """
 
-    fold = None
     partial = False
+    weights = None
 
     # Equality, hashing and repr are structural, as the dataclass ones
     # would be, but never recurse: a spec may nest as deep as the parser
-    # allows.  The hash is computed once, from the children's hashes.
+    # allows.  The hash is computed once, from the children's hashes; repr
+    # prints an operator object as "..." once it has printed it.
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.symbol, *self.children)))
 
@@ -198,12 +205,15 @@ class _Operator(RealExpr):
         return True
 
     def __repr__(self):
-        parts, todo = [], [self]
+        parts, todo, shown = [], [self], set()
         while todo:
             e = todo.pop()
             if isinstance(e, str):
                 parts.append(e)
+            elif id(e) in shown:
+                parts.append("...")
             elif isinstance(e, _Operator):
+                shown.add(id(e))
                 parts.append(f"{e.__class__.__qualname__}(")
                 todo.append(")")
                 for i, field in reversed(list(enumerate(fields(e)))):
@@ -233,21 +243,6 @@ class _Binary(_Operator):
         return (self.left, self.right)
 
 
-def _shift_fold(c, literal_left):
-    return ((_shift_rule, (c,)),)
-
-
-def _sub_fold(c, literal_left):
-    if literal_left:  # c - x: a shift of the negation
-        return ((_neg_rule, ()), (_shift_rule, (c,)))
-    return ((_shift_rule, (-c,)),)
-
-
-def _scale_fold(c, literal_left):
-    # 0 * x is undefined wherever x is, so a zero factor goes through mul
-    return ((_scale_rule, (c,)),) if c else None
-
-
 def _chi_pos_exact(a: Fraction) -> Fraction:
     if a > 0:
         return Fraction(1)
@@ -258,21 +253,20 @@ class Add(_Binary):
     symbol = "add"
     exact = staticmethod(operator.add)
     rule = staticmethod(_add_rule)
-    fold = staticmethod(_shift_fold)
+    weights = ((1, 1), (1, 1))
 
 
 class Sub(_Binary):
     symbol = "sub"
     exact = staticmethod(operator.sub)
     rule = staticmethod(_sub_rule)
-    fold = staticmethod(_sub_fold)
+    weights = ((1, 1), (-1, 1))
 
 
 class Mul(_Binary):
     symbol = "mul"
     exact = staticmethod(operator.mul)
     rule = staticmethod(_mul_rule)
-    fold = staticmethod(_scale_fold)
 
 
 class Min(_Binary):
@@ -291,6 +285,7 @@ class Neg(_Unary):
     symbol = "neg"
     exact = staticmethod(operator.neg)
     rule = staticmethod(_neg_rule)
+    weights = ((-1, 1),)
 
 
 class ChiPos(_Unary):
@@ -345,6 +340,39 @@ def eval_expr(expr: RealExpr, xs: Sequence[Fraction]) -> Fraction:
     )
 
 
+def _linear(e: _Operator):
+    """(weights, operands) of the weighted sum e is, or None: an operator
+    of literals is not one, and a product is one only where an operand is
+    a literal c != 0, the weight of the other (0 * x is undefined where x is)."""
+    kids = e.children
+    if e.weights:
+        return None if kids[0].__class__ is Const is kids[-1].__class__ else (e.weights, kids)
+    if e.__class__ is Mul:
+        c, x = kids if kids[0].__class__ is Const else kids[::-1]
+        if c.__class__ is Const is not x.__class__ and c.value:
+            return (c.value.as_integer_ratio(),), (x,)
+
+
+def _affine(c: tuple, terms: dict) -> tuple:
+    """(rule, parameters, operands) of the step c + sum a_i q_i, radius
+    sum r_i t_i, for terms {slot i: (an, ad, rn, rd)}: a shift, c - x,
+    neg, scale, add or sub where the form is theirs, as a lone operator's
+    is, and the affine rule otherwise."""
+    slots, coefficients = tuple(terms), tuple(terms.values())
+    if len(slots) == 1:
+        (an, ad, rn, rd), = coefficients
+        if an * an == ad == rn == rd == 1:
+            if an == 1 or c[0]:
+                return _shift_rule if an == 1 else _sub_from_rule, (c,), slots
+            return _neg_rule, (), slots
+        if not c[0] and rn == abs(an):
+            return _scale_rule, ((an, ad),), slots
+    elif len(slots) == 2 and not c[0] and coefficients[0] == (1, 1, 1, 1):
+        if coefficients[1] in ((1, 1, 1, 1), (-1, 1, 1, 1)):
+            return _add_rule if coefficients[1][0] == 1 else _sub_rule, (), slots
+    return _affine_rule, (c, coefficients), slots
+
+
 def expr_to_machine(expr: RealExpr, arity: int) -> IntervalMachine:
     """Compile an expression to a sound machine of the given arity.
 
@@ -352,17 +380,33 @@ def expr_to_machine(expr: RealExpr, arity: int) -> IntervalMachine:
     structurally equal ones, are compiled and evaluated once.  Slots
     0 .. arity-1 hold the query's components; step i fills slot arity + i
     by applying its rule to the values in its operand slots.  The walk
-    takes a Var to its slot, an operator to the slot of its last step,
-    and a Const to itself: an operand that does not fold becomes a const
-    step.  Steps are interned on (rule, literal parameters as integer
-    pairs, operand slots), so structurally equal subterms share one slot.
+    takes a Var to its slot, a Const to itself (else a const step), and
+    each maximal linear region, cut at every subterm used more than once,
+    in one pass from its root to one step c + sum a_i q_i (see _affine),
+    a_i the signed sum of the weight products over the paths to slot i
+    and r_i the sum of their absolute values.  Steps are interned on
+    (rule, literal parameters as integer pairs, operand slots), so
+    structurally equal subterms share one slot.
     """
     if arity < 1:
         raise ValueError(f"arity must be >= 1, got {arity}")
-    steps, interned, everything = [], {}, tuple(range(arity))
+    steps, interned, everything, seen = [], {}, tuple(range(arity)), {}
+    found, shared = set(), set()  # ids of the operands, and of those used twice
+
+    def used_once(e) -> bool:  # one walk finds them all, on first need
+        if id(e) in seen:  # walked already, so it has another use
+            return False
+        todo = [] if found else [expr]
+        while todo:
+            for kid in todo.pop().children:
+                if id(kid) in found:
+                    shared.add(id(kid))
+                else:
+                    found.add(id(kid))
+                    todo.append(kid)
+        return id(e) not in shared
 
     def step(rule, params: tuple, operands: tuple) -> int:
-        params = tuple(map(Fraction.as_integer_ratio, params))
         key = (rule, params, operands)
         slot = interned.get(key)
         if slot is None:
@@ -371,32 +415,46 @@ def expr_to_machine(expr: RealExpr, arity: int) -> IntervalMachine:
         return slot
 
     def slot(v) -> int:
-        return step(_const_rule, (v.value,), everything) if isinstance(v, Const) else v
+        if v.__class__ is Const:
+            return step(_const_rule, (v.value.as_integer_ratio(),), everything)
+        return v
 
-    def leaf(e):
-        if isinstance(e, Const):
-            return e
-        if e.index >= arity:
-            raise ValueError(
-                f"unbound variable: expression uses {expr_arity(expr)} argument(s), "
-                f"declared arity is {arity}"
-            )
-        return e.index
-
-    def node(e, kids: tuple) -> int:
-        lc, rc = isinstance(kids[0], Const), isinstance(kids[-1], Const)
-        if not (lc or rc):
-            return step(e.rule, (), kids)
-        if lc and rc and not e.partial:
-            return slot(Const(e.exact(*[kid.value for kid in kids])))
-        if e.fold is not None:
-            c, v = (kids[0].value, kids[1]) if lc else (kids[1].value, kids[0])
-            chain = e.fold(c, lc)
-            if chain is not None:
-                for rule, params in chain:
-                    v = step(rule, params, (v,))
-                return v
-        return step(e.rule, (), tuple(map(slot, kids)))
+    def walk(e):  # memoised on the subterm object: a slot, or a Const
+        v = seen.get(id(e))
+        if v is not None:
+            return v
+        if e.__class__ is Const:
+            v = e
+        elif e.__class__ is Var:
+            if e.index >= arity:
+                raise ValueError(
+                    f"unbound variable: expression uses {expr_arity(expr)} argument(s), "
+                    f"declared arity is {arity}"
+                )
+            v = e.index
+        elif (form := _linear(e)) is None:
+            kids = tuple(map(walk, e.children))
+            if kids[0].__class__ is Const is kids[-1].__class__ and not e.partial:
+                v = slot(Const(e.exact(*[kid.value for kid in kids])))
+            else:
+                v = step(e.rule, (), tuple(map(slot, kids)))
+        else:  # the linear region rooted at e, in one step
+            c, terms, todo = (0, 1), {}, [((1, 1), form)]
+            for w, (weights, kids) in todo:
+                for u, k in zip(weights, kids):
+                    u = u if w == (1, 1) else _rmul(*w, *u)
+                    if (inner := k.children and _linear(k)) and used_once(k):
+                        todo.append((u, inner))
+                    elif k.__class__ is Const:
+                        k = k.value.as_integer_ratio()
+                        c = _radd(*c, *(k if u == (1, 1) else _rmul(*u, *k)))
+                    elif (t := terms.get(k := walk(k))) is None:
+                        terms[k] = (*u, abs(u[0]), u[1])
+                    else:
+                        terms[k] = (*_radd(t[0], t[1], *u), *_radd(t[2], t[3], abs(u[0]), u[1]))
+            v = step(*_affine(c, terms))
+        seen[id(e)] = v
+        return v
 
     def capped(e, values):
         v = e.exact(*values)
@@ -415,5 +473,8 @@ def expr_to_machine(expr: RealExpr, arity: int) -> IntervalMachine:
             pass
         return False
 
-    root = slot(_walk_dag(expr, leaf, node))
+    try:
+        root = slot(walk(expr))
+    finally:
+        del walk  # walk refers to itself; break the cycle
     return _plan_machine(steps, arity, root, f"plan({len(steps)} steps)", undefined)

@@ -1,14 +1,17 @@
 """Shared helpers: seeded rational and expression sampling, the
-soundness harness, the catalog-tree reference compiler, a counter of the
-plan runner's ball roundings, the interval rules restated on
-Fractions, and the interpreter's int-to-string digit limit."""
+soundness harness, the catalog-tree reference compilers (by linear
+region, as plans are compiled, and by operator), a counter of the plan
+runner's ball roundings, the interval rules restated on Fractions, and
+the interpreter's int-to-string digit limit."""
 
 from __future__ import annotations
 
 import random
 import sys
+from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
+from functools import partial
 
 from realcomp import (
     INF,
@@ -131,14 +134,106 @@ _CATALOG = {
 }
 
 
-def reference_machine(expr, arity: int):
+def operand_uses(expr) -> Counter:
+    """How often each operator object is an operand in the DAG, by id."""
+    uses, todo = Counter(), [expr]
+    while todo:
+        for kid in getattr(todo.pop(), "children", ()):
+            uses[id(kid)] += 1
+            if uses[id(kid)] == 1:
+                todo.append(kid)
+    return uses
+
+
+def weighted_operands(expr):
+    """The (weight, operand) pairs of expr as a weighted sum, or None where
+    it is not one: a leaf, an operator of literals (a constant), and a
+    product without a nonzero literal factor (0 * x stays a mul)."""
+    kids = getattr(expr, "children", ())
+    if all(isinstance(kid, Const) for kid in kids):
+        return None
+    if isinstance(expr, Add):
+        return [(1, kids[0]), (1, kids[1])]
+    if isinstance(expr, Sub):
+        return [(1, kids[0]), (-1, kids[1])]
+    if isinstance(expr, Neg):
+        return [(-1, kids[0])]
+    if isinstance(expr, Mul):
+        for c, other in (kids, kids[::-1]):
+            if isinstance(c, Const) and c.value:
+                return [(c.value, other)]
+    return None
+
+
+def linear_region(expr, uses):
+    """(c, {operand: (a, r)}, operators) of the linear region rooted at
+    expr, summed over the tree: a subterm that is an operand more than
+    once is an operand of the region, not part of it."""
+    c, terms, operators, todo = Fraction(0), {}, 0, [(1, expr)]
+    while todo:
+        weight, e = todo.pop()
+        operators += 1
+        for w, kid in weighted_operands(e):
+            w *= weight
+            if isinstance(kid, Const):
+                c += w * kid.value
+            elif uses[id(kid)] == 1 and weighted_operands(kid) is not None:
+                todo.append((w, kid))
+            else:
+                a, r = terms.get(kid, (0, 0))
+                terms[kid] = (a + w, r + abs(w))
+    return c, terms, operators
+
+
+def reference_machine(expr, arity: int, uses=None):
     """expr as a tree of catalog machines joined by `compose`.
 
-    It folds literal operands as `expr_to_machine` does: x + c and x - c
-    are shifts, c - x the shift of the negation, c * x a scale unless c
-    is 0, and a total operator of two literals is a constant.  A shared
-    subterm is built once per use.
+    Each linear region (add, sub, neg and scaling by a nonzero literal,
+    cut at a subterm that is an operand more than once) is one machine,
+    as in `expr_to_machine`.  A lone operator is its catalog machine,
+    with x + c and x - c a shift, c - x the rule of that name and c * x a
+    scale; a larger region is the affine machine of the region's form,
+    found here by summing over the tree.  A total operator of two literals is a
+    constant.  A shared subterm is built once per use.
     """
+    uses = operand_uses(expr) if uses is None else uses
+    if isinstance(expr, Const):
+        return const_machine(expr.value, arity)
+    if isinstance(expr, Var):
+        return proj(expr.index, arity)
+    kids = expr.children
+    lc, rc = isinstance(kids[0], Const), isinstance(kids[-1], Const)
+    if lc and rc and not isinstance(expr, ChiPos):
+        return const_machine(eval_expr(expr, ()), arity)
+    if weighted_operands(expr) is None:
+        return compose(_CATALOG[type(expr)](),
+                       [reference_machine(kid, arity, uses) for kid in kids])
+    c, terms, operators = linear_region(expr, uses)
+    if operators == 1:
+        if not (lc or rc):
+            return compose(_CATALOG[type(expr)](),
+                           [reference_machine(kid, arity, uses) for kid in kids])
+        literal, other = (kids[0].value, kids[1]) if lc else (kids[1].value, kids[0])
+        if isinstance(expr, Mul):
+            outer = scale_machine(literal)
+        elif isinstance(expr, Sub) and lc:
+            outer = _machine._rule_machine(
+                partial(_machine._sub_from_rule, c.as_integer_ratio()), 1, "sub-from")
+        else:
+            outer = shift_machine(c)
+        return compose(outer, [reference_machine(other, arity, uses)])
+    coefficients = tuple((*a.as_integer_ratio(), *r.as_integer_ratio())
+                         for a, r in terms.values())
+    affine = partial(_machine._affine_rule, c.as_integer_ratio(), coefficients)
+    return compose(_machine._rule_machine(affine, len(terms), "affine"),
+                   [reference_machine(kid, arity, uses) for kid in terms])
+
+
+def unfused_machine(expr, arity: int):
+    """expr as a tree of catalog machines joined by `compose`, one per
+    operator: x + c and x - c are shifts, c - x the shift of the negation,
+    c * x a scale unless c is 0, and a total operator of two literals is
+    a constant.  A shared subterm is built once per use."""
     if isinstance(expr, Const):
         return const_machine(expr.value, arity)
     if isinstance(expr, Var):
@@ -149,17 +244,16 @@ def reference_machine(expr, arity: int):
         return const_machine(eval_expr(expr, ()), arity)
     if (lc or rc) and isinstance(expr, (Add, Sub, Mul)):
         c, other = (kids[0].value, kids[1]) if lc else (kids[1].value, kids[0])
-        inner = reference_machine(other, arity)
+        inner = unfused_machine(other, arity)
         if isinstance(expr, Add):
             return compose(shift_machine(c), [inner])
         if isinstance(expr, Sub) and lc:
             return compose(shift_machine(c), [compose(neg_machine(), [inner])])
         if isinstance(expr, Sub):
             return compose(shift_machine(-c), [inner])
-        if isinstance(expr, Mul) and c != 0:
+        if c != 0:
             return compose(scale_machine(c), [inner])
-    return compose(_CATALOG[type(expr)](),
-                   [reference_machine(kid, arity) for kid in kids])
+    return compose(_CATALOG[type(expr)](), [unfused_machine(kid, arity) for kid in kids])
 
 
 def count_roundings(monkeypatch) -> list:
@@ -228,4 +322,8 @@ FRACTION_RULES = {
     "min": _fraction_endpointwise(min),
     "max": _fraction_endpointwise(max),
     "chi-pos": lambda x: (Fraction(1), x[1] if x[0] - x[1] > 0 else INF),
+    "sub-from": lambda c, x: (c - x[0], x[1]),
+    "affine": lambda c, coefficients, *xs: (
+        c + sum(a * x[0] for (a, _), x in zip(coefficients, xs)),
+        sum(r * x[1] for (_, r), x in zip(coefficients, xs))),
 }

@@ -185,7 +185,7 @@ def nested(depth, op="neg"):
     """A spec nesting `depth` lists: depth - 1 applications over (var 0)."""
     if op == "neg":
         return "(neg " * (depth - 1) + "(var 0)" + ")" * (depth - 1)
-    # c - x folds to two catalog machines, the deepest compiled chain
+    # c - x, nested: one linear region, compiled to one affine step
     return "(sub (rat 1 1) " * (depth - 1) + "(var 0)" + ")" * (depth - 1)
 
 

@@ -45,6 +45,7 @@ from realcomp import (
 )
 from realcomp.machine import (
     _add_rule,
+    _affine_rule,
     _chi_pos_rule,
     _const_rule,
     _max_rule,
@@ -54,6 +55,7 @@ from realcomp.machine import (
     _round_ball,
     _scale_rule,
     _shift_rule,
+    _sub_from_rule,
     _sub_rule,
     _value,
 )
@@ -486,6 +488,7 @@ def test_rounding_a_ball_covers_it_with_a_dyadic_ball_in_lowest_terms(
 KERNEL_RULES = [
     ("const", _const_rule, 1, None),
     ("shift", _shift_rule, 1, 1),
+    ("sub-from", _sub_from_rule, 1, 1),
     ("scale", _scale_rule, 1, 1),
     ("neg", _neg_rule, 0, 1),
     ("add", _add_rule, 0, 2),
@@ -494,6 +497,7 @@ KERNEL_RULES = [
     ("min", _min_rule, 0, 2),
     ("max", _max_rule, 0, 2),
     ("chi-pos", _chi_pos_rule, 0, 1),
+    ("affine", _affine_rule, 1, None),
 ]
 
 # 1- to 2000-bit magnitudes, nonzero values of either sign, and all values
@@ -512,10 +516,26 @@ def draw_denominators(data):
     return [1] + data.draw(st.lists(magnitudes, min_size=1, max_size=3))
 
 
+def draw_coefficient(data, dens):
+    """An affine operand's (a, r) as the compiler forms them: r >= |a| and
+    r > 0; a = 0 with r = 2 is the form of x - x."""
+    a = draw_rational(data, dens)
+    r = abs(a) + draw_rational(data, dens, st.one_of(st.just(0), magnitudes))
+    return a, r or F(2)
+
+
+def encode(param):
+    """A literal parameter as the kernel takes it: an integer pair, or for
+    affine coefficients one (an, ad, rn, rd) per operand."""
+    if isinstance(param, list):
+        return tuple((*a.as_integer_ratio(), *r.as_integer_ratio()) for a, r in param)
+    return param.as_integer_ratio()
+
+
 def check_kernel(name, rule, params, operands):
     """The kernel rule on int pairs gives exactly the reference result, in
     lowest terms with a positive denominator, and INF as td == 0."""
-    got = rule(*[p.as_integer_ratio() for p in params],
+    got = rule(*map(encode, params),
                *[(*q.as_integer_ratio(), *t.as_integer_ratio()) for q, t in operands])
     want_q, want_t = FRACTION_RULES[name](*params, *operands)
     assert len(got) == 4 and all(type(v) is int for v in got)
@@ -541,6 +561,8 @@ def test_kernel_rules_match_the_fraction_reference(name, rule, n_params, n_opera
     # a zero factor never reaches scale: the catalog refuses it, plans keep mul
     literals = nonzero if name == "scale" else signed
     params = [draw_rational(data, dens, literals) for _ in range(n_params)]
+    if name == "affine":  # the constant, then a coefficient per operand
+        params.append([draw_coefficient(data, dens) for _ in range(n_operands)])
     operands = [(draw_rational(data, dens), draw_rational(data, dens, magnitudes))
                 for _ in range(n_operands)]
     check_kernel(name, rule, params, operands)
