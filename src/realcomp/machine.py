@@ -18,10 +18,10 @@ and Answer are validated at ``apply`` and around hand-built transitions.
 Divergence can only be observed up to an explicit fuel budget; running
 out of fuel is evidence of undefinedness, never proof, and ``_required``
 is the one place that turns it into NoConvergenceError.  At exact rational
-inputs order is decidable: where a compiled plan's ``_undefined`` test
-finds the expression undefined, some chi-pos operand is <= 0 and lies in
-every ball its slot holds, so every step answers INF, and ``_schedule``
-returns that outcome without running them.
+inputs order is decidable: a compiled plan's ``_undefined`` test runs its
+steps once at radius 0, where each rule is exact, and where a chi-pos
+answers INF there its operand is <= 0 and lies in every ball its slot
+holds, so every step answers INF; ``_schedule`` returns that at once.
 
 The plan runner alone rounds, midpoint-radius as in Arb: with e the bit
 length of the query's largest tolerance denominator plus 16, a finite
@@ -189,7 +189,7 @@ class NoConvergenceError(RuntimeError):
 
 
 Oracle = Callable[[Fraction], Fraction]
-_CAP = 1 << 34  # the plan runner's first rounding cap, shared with _undefined
+_CAP = 1 << 34  # the plan runner's first rounding cap; a plan's _undefined gives up past it
 
 
 def _schedule(machine, oracles, fuel, gn, gd, wide):

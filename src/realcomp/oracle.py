@@ -166,10 +166,10 @@ class Undefined(Exception):
 class _Operator(RealExpr):
     """An operator node.  Each concrete class is one entry of the operator
     table: `symbol` is its spec-language head, `exact` its rule on exact
-    rationals, `rule` its interval rule (realcomp.machine), and the
-    dataclass fields are its children.  `weights`, where the operator is
-    a weighted sum of its children, holds one integer pair per child (a
-    product is one only where an operand is a literal, see _linear).  A
+    rationals, `rule` its interval rule (realcomp.machine) where it is not
+    a weighted sum of its children, and the dataclass fields are its
+    children.  `weights`, where it is one, holds one integer pair per child
+    (a product is one only where an operand is a literal, see _linear).  A
     `partial` operator is never evaluated on literal operands: where its
     exact rule is undefined the machine must diverge, not fail to compile.
     """
@@ -252,14 +252,12 @@ def _chi_pos_exact(a: Fraction) -> Fraction:
 class Add(_Binary):
     symbol = "add"
     exact = staticmethod(operator.add)
-    rule = staticmethod(_add_rule)
     weights = ((1, 1), (1, 1))
 
 
 class Sub(_Binary):
     symbol = "sub"
     exact = staticmethod(operator.sub)
-    rule = staticmethod(_sub_rule)
     weights = ((1, 1), (-1, 1))
 
 
@@ -284,7 +282,6 @@ class Max(_Binary):
 class Neg(_Unary):
     symbol = "neg"
     exact = staticmethod(operator.neg)
-    rule = staticmethod(_neg_rule)
     weights = ((-1, 1),)
 
 
@@ -456,21 +453,18 @@ def expr_to_machine(expr: RealExpr, arity: int) -> IntervalMachine:
         seen[id(e)] = v
         return v
 
-    def capped(e, values):
-        v = e.exact(*values)
-        if v.denominator > _CAP or abs(v.numerator) > _CAP:
-            raise OverflowError  # too large to settle here; the loop decides
-        return v
-
     def undefined(xs) -> bool:
-        """Whether exact evaluation at xs raises Undefined, in time linear
-        in the DAG: it gives up, as False, on a value past _CAP."""
-        try:
-            _walk_dag(expr, lambda e: e.value if isinstance(e, Const) else xs[e.index], capped)
-        except Undefined:
-            return True
-        except OverflowError:
-            pass
+        """Whether eval_expr at xs raises Undefined: each step run once at
+        radius 0, where rules are exact and chi-pos answers INF just at an
+        operand <= 0; linear in the plan, as it gives up (False) past _CAP."""
+        vals = [(x.numerator, x.denominator, 0, 1) for x in xs]
+        for rule, ks in steps:
+            qn, qd, _, td = value = rule(*[vals[k] for k in ks])
+            if not td:
+                return True
+            if qd > _CAP or abs(qn) > _CAP:
+                return False
+            vals.append(value)
         return False
 
     try:

@@ -87,7 +87,7 @@ def _positive(value, what: str) -> Fraction:
     """value as a Fraction; ValueError naming `what` unless it is > 0."""
     value = as_fraction(value)
     if value.numerator <= 0:
-        raise ValueError(f"{what} must be positive, got {value}")
+        raise ValueError(f"{what} must be positive, got {_text(value)}")
     return value
 
 
@@ -102,7 +102,7 @@ class Interval:
         object.__setattr__(self, "lo", as_fraction(self.lo))
         object.__setattr__(self, "hi", as_fraction(self.hi))
         if self.lo > self.hi:
-            raise ValueError(f"empty interval: lo={self.lo} > hi={self.hi}")
+            raise ValueError(f"empty interval: lo={_text(self.lo)} > hi={_text(self.hi)}")
 
     @property
     def width(self) -> Fraction:
@@ -113,7 +113,7 @@ class Interval:
         return self.lo <= x <= self.hi
 
     def __repr__(self):
-        return f"[{self.lo}, {self.hi}]"
+        return f"[{_text(self.lo)}, {_text(self.hi)}]"
 
 
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")

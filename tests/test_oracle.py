@@ -1,5 +1,6 @@
 import gc
 import random
+import weakref
 from collections import Counter
 from dataclasses import replace
 from decimal import Decimal
@@ -17,6 +18,7 @@ from realcomp import (
     ChiPos,
     Const,
     Converged,
+    Interval,
     IntervalMachine,
     Min,
     Mul,
@@ -455,6 +457,27 @@ def test_display_names_print_rationals_past_the_digit_limit():
     assert scale_machine(-huge).name == f"scale(-{digits})"
 
 
+def test_intervals_and_positivity_errors_print_rationals_past_the_digit_limit():
+    def digits(x):
+        return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
+
+    # a chi-pos boundary 2^-14400 below x: the certified box has a
+    # denominator of 4335 digits
+    x = F(1, 3)
+    plan = expr_to_machine(ChiPos(Sub(Var(0), Const(x - F(1, 2**14400)))), 1)
+    boxes = domain_neighborhood(plan, [from_rational(x)], 20000)
+    box, = boxes
+    assert box.lo > x - F(1, 2**14400) and len(str(Decimal(box.lo.denominator))) > 4300
+    assert repr(boxes) == f"[[{digits(box.lo)}, {digits(box.hi)}]]"
+    huge = F(1, 3**10000)
+    with pytest.raises(ValueError) as empty:
+        Interval(huge, -huge)
+    assert str(empty.value) == f"empty interval: lo={digits(huge)} > hi=-{digits(huge)}"
+    with pytest.raises(ValueError) as negative:
+        refine(plan, [from_rational(x)], -huge, 1)
+    assert str(negative.value) == f"target accuracy must be positive, got -{digits(huge)}"
+
+
 def test_plans_that_round_are_sound_and_answer_like_the_catalog_tree(monkeypatch):
     rounded = count_roundings(monkeypatch)
     rng = random.Random(83)
@@ -685,6 +708,20 @@ def test_one_literal_folds_where_it_can_and_is_a_step_where_it_cannot():
         outcome = refine(machine, [from_rational(1)], F(1, 2**10), 50)
         assert isinstance(outcome, Converged)
         assert abs(outcome.value - F(5, 2)) <= outcome.accuracy
+
+
+def test_a_compiled_machine_does_not_keep_its_expression_alive():
+    expr = ChiPos(logistic_dag(20))
+    alive = weakref.ref(expr)
+    machine = expr_to_machine(expr, 1)
+    del expr
+    gc.collect()
+    assert alive() is None
+    # it refines as before, and still decides divergence at the fixed point 0
+    outcome = refine(machine, [from_rational(F(1, 3))], F(1, 2**10), 200)
+    assert outcome == Converged(F(1), F(39648098002340295, 2**66), 50)
+    assert machine._undefined([F(0)]) is True
+    assert refine(machine, [from_rational(F(0))], F(1, 4), 10**6) == NoConvergence(10**6, True)
 
 
 def test_walks_leave_no_cyclic_garbage():
