@@ -6,121 +6,16 @@ semi-decision of open predicates, certified domain neighborhoods,
 representation equivalences over the naturals, effectively enumerable
 relations over the reals, and discrete probabilistic algorithms with
 exact rational masses.
+
+Each module's ``__all__`` is the one list of its public names.
 """
 
-from .rational import (
-    INF,
-    Accuracy,
-    Interval,
-    as_fraction,
-    is_finite,
-    parse_accuracy,
-    parse_rational,
-    rat,
-)
-from .machine import (
-    Answer,
-    Converged,
-    IntervalMachine,
-    ModulusMachine,
-    NoConvergence,
-    NoConvergenceError,
-    Query,
-    RefineOutcome,
-    add_machine,
-    apply,
-    chi_pos,
-    compose,
-    const_machine,
-    domain_neighborhood,
-    identity,
-    max_machine,
-    min_machine,
-    modulus_to_machine,
-    mul_machine,
-    neg_machine,
-    proj,
-    refine,
-    scale_machine,
-    shift_machine,
-    sub_machine,
-)
-from .oracle import (
-    Add,
-    ChiPos,
-    Const,
-    Max,
-    Min,
-    Mul,
-    Neg,
-    RealExpr,
-    RealOracle,
-    Sub,
-    Undefined,
-    Var,
-    apply_machine,
-    eval_expr,
-    expr_arity,
-    expr_to_machine,
-    from_rational,
-)
-from .natrel import (
-    FAIL,
-    DecidableNatRel,
-    EnumerableNatRel,
-    EquivalenceReport,
-    FueledProgram,
-    SemiDecidableNatRel,
-    dec_to_semi,
-    enum_to_semi,
-    equivalence_report,
-    pair,
-    relation_by_name,
-    semi_to_enum,
-    semi_to_enum_nonempty,
-    unpair,
-)
-from .relation import (
-    IndexSet,
-    NATURALS,
-    RealEnumRel,
-    WitnessEntry,
-    WitnessList,
-    cluster_values,
-    enumerate_witnesses,
-    from_function,
-    make_finite_rel,
-    make_tail_rel,
-    member_semi,
-    project,
-    witness,
-)
-from .prob import (
-    DiscreteProbAlgorithm,
-    MassReport,
-    MassSumInvalid,
-    ProbBranch,
-    RepartitionMachine,
-    Sampler,
-    ValidationFailed,
-    cdf_algorithm,
-    decompose,
-    empirical_frequency,
-    make_prob,
-    outcome_mass,
-    sample,
-    select_index,
-    spawn_seed,
-)
-from .speclang import (
-    ExprSpec,
-    ParseError,
-    ProbSpec,
-    RelSpec,
-    SpecAst,
-    format_expr,
-    format_spec,
-    parse_spec,
-)
+from .rational import *
+from .machine import *
+from .oracle import *
+from .natrel import *
+from .relation import *
+from .prob import *
+from .speclang import *
 
 __version__ = "0.1.0"

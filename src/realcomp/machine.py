@@ -31,6 +31,9 @@ holds the old, so rules stay sound; the grid depends on the query alone,
 and a query value passed on unchanged is never rounded.  A linear region
 is one step, so it is rounded at its root only: plans answer like compose
 trees of one machine per region, and per operator where nothing rounds.
+A finite step value whose radius passes 2^4096, as a mul chain's can at
+a coarse query, makes the step answer (0, INF): where it fires, that step,
+all_infinite and domain_neighborhood's first finite step change.
 """
 
 from __future__ import annotations
@@ -190,6 +193,10 @@ class NoConvergenceError(RuntimeError):
 
 Oracle = Callable[[Fraction], Fraction]
 _CAP = 1 << 34  # the plan runner's first rounding cap; a plan's _undefined gives up past it
+# The plan runner's largest finite radius; a larger one certifies nothing of
+# use.  Fixed, so a numerator below it (td >= 1) costs one comparison.
+_MAX_RADIUS_BITS = 4096
+_MAX_RADIUS = 1 << _MAX_RADIUS_BITS
 
 
 def _schedule(machine, oracles, fuel, gn, gd, wide):
@@ -467,7 +474,8 @@ def _plan_machine(steps, arity: int, root: int, name: str, undefined=None) -> In
     """The one plan runner.  Slots 0 .. arity-1 hold the query's values;
     each (step, operand slots) pair fills the next slot, and the machine
     answers slot `root`.  An infinite value in any other slot answers
-    (0, INF) at once: an uncertified operand leaves nothing above it.
+    (0, INF) at once: an uncertified operand leaves nothing above it.  So
+    does a radius past _MAX_RADIUS in any slot.
     Step values past 2^(2e) are rounded, but not a query value that a
     step passes on unchanged; e is found once a value passes _CAP.
     """
@@ -483,6 +491,8 @@ def _plan_machine(steps, arity: int, root: int, name: str, undefined=None) -> In
             if not value[3]:
                 if len(vals) != root:
                     return 0, 1, 1, 0
+            elif value[2] > _MAX_RADIUS and value[2] > value[3] << _MAX_RADIUS_BITS:
+                return 0, 1, 1, 0
             elif value[1] > cap or value[3] > cap:
                 e = e or max(v[3] for v in values).bit_length() + 16
                 cap = 1 << 2 * e

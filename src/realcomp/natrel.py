@@ -38,7 +38,6 @@ __all__ = [
     "enum_to_semi",
     "EquivalenceReport",
     "equivalence_report",
-    "RELATION_CATALOG",
     "relation_by_name",
 ]
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional, Union
 
-from .oracle import _OPERATORS, Const, RealExpr, Var, expr_arity
+from .oracle import _OPERATORS, Const, RealExpr, Var
 
 __all__ = [
     "ParseError",
@@ -51,9 +51,13 @@ _TOKEN_RE = re.compile(r"[()]|[^ \t\r\n();]+|;[^\n]*")
 _INT_RE = re.compile(r"[+-]?\d+")
 
 # Deepest list nesting a specification may have.  Reading uses a stack,
-# but building (_build_expr), printing (format_expr) and the DAG walk
-# behind arity, exact evaluation and compiling (oracle._walk_dag) recurse
-# once per level, so the cap keeps them inside Python's recursion limit.
+# but building (_build_expr), printing (format_expr), expr_arity, eval_expr
+# and compiling recurse once per level, so the cap keeps them inside
+# Python's recursion limit.  Expressions built in Python are not capped:
+# at the default limit, a chain of 900 operators works in expr_arity,
+# eval_expr, expr_to_machine and format_expr, one of 1000 raises
+# RecursionError in each (in expr_to_machine unless it is one linear
+# region); repr and == do not recurse.
 _MAX_DEPTH = 512
 
 
@@ -113,7 +117,8 @@ def _want_int(node, what: str) -> int:
 _OPERATOR_BY_SYMBOL = {op.symbol: (op, len(fields(op))) for op in _OPERATORS}
 
 
-def _build_expr(node) -> RealExpr:
+def _build_expr(node) -> tuple:
+    """(expression, arity): expr_arity's value, read while building."""
     if not isinstance(node, list):
         _err(node, f"expected an expression, got atom {node.group()!r}")
     if len(node) == 1:
@@ -129,25 +134,26 @@ def _build_expr(node) -> RealExpr:
         den = _want_int(args[1], "rat denominator")
         if den <= 0:
             _err(args[1], "rat denominator must be a positive integer")
-        return Const(Fraction(num, den))
+        return Const(Fraction(num, den)), 1
     if name == "var":
         if len(args) != 1:
             _err(node, "var takes one index")
         index = _want_int(args[0], "var index")
         if index < 0:
             _err(args[0], "var index must be >= 0")
-        return Var(index)
+        return Var(index), index + 1
     if name not in _OPERATOR_BY_SYMBOL:
         _err(head, f"unknown head symbol {name!r}")
     op, takes = _OPERATOR_BY_SYMBOL[name]
     if len(args) != takes:
         _err(node, f"{name} takes {('one argument', 'two arguments')[takes - 1]}")
-    return op(*map(_build_expr, args))
+    exprs, arities = zip(*map(_build_expr, args))
+    return op(*exprs), max(arities)
 
 
 def _build_branch_expr(node) -> RealExpr:
-    expr = _build_expr(node)
-    if expr_arity(expr) > 1:
+    expr, arity = _build_expr(node)
+    if arity > 1:
         _err(node, "relation branches must use only (var 0)")
     return expr
 
@@ -193,8 +199,7 @@ def parse_spec(text: str) -> SpecAst:
             return RelSpec(tuple(exprs), None)
         if name == "prob":
             return _build_prob(node)
-    expr = _build_expr(node)
-    return ExprSpec(expr, expr_arity(expr))
+    return ExprSpec(*_build_expr(node))
 
 
 def _build_prob(node: list) -> ProbSpec:

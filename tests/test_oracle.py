@@ -627,6 +627,75 @@ def test_logistic_iterates_keep_their_steps_at_bounded_bit_size():
         assert abs(eval_expr(dag, [x]) - outcome.value) <= outcome.accuracy
 
 
+def test_the_60th_logistic_iterate_refines_past_its_coarse_steps():
+    # At a coarse query the radius of the iterate squares at every level, so
+    # its numerator would reach about 2^(2^60) bits; past 2^4096 the plan
+    # answers INF instead, and only later steps are finite.
+    x, dag = F(1, 3), logistic_dag(60)
+    plan = expr_to_machine(dag, 1)
+    assert refine(plan, [from_rational(x)], F(1, 2**20), 10) == NoConvergence(10, True)
+    coarse = refine(plan, [from_rational(x)], F(1, 2**20), 400)
+    fine = refine(plan, [from_rational(x)], F(1, 2**40), 400)
+    assert isinstance(coarse, Converged) and coarse.steps == 136
+    assert isinstance(fine, Converged) and fine.steps > coarse.steps
+    assert abs(coarse.value - fine.value) <= coarse.accuracy + fine.accuracy
+    box, = domain_neighborhood(plan, [from_rational(x)], 400)
+    assert box.lo < x < box.hi
+    # 0 is a fixed point, where chi-pos is undefined: decided at once
+    undefined = expr_to_machine(ChiPos(dag), 1)
+    assert refine(undefined, [from_rational(F(0))], F(1, 2**20), 400) == NoConvergence(400, True)
+
+
+def test_the_radius_bound_is_on_the_ratio_not_the_numerator():
+    neg = expr_to_machine(Neg(Var(0)), 1)
+    below, above = F(2**5000, 3**3000), F(2**5000, 3)  # about 2^245 and 2^4998
+    assert apply(neg, Query.of((F(1), below))) == Answer(F(-1), below)
+    assert apply(neg, Query.of((F(1), above))) == Answer(F(0), INF)
+
+
+class _Watched(int):
+    """An int that records whether some `n > self` held: `n > watched`
+    calls the subclass's reflected `__lt__` first."""
+
+    def __lt__(self, other):
+        below = int(self) < other
+        self.passed = self.passed or below
+        return below
+
+
+# MUL_HEAVY without chi-pos, which answers INF at most coarse queries
+# before any radius grows
+_GROWING = tuple(op for op in MUL_HEAVY if op is not ChiPos)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32), nodes=st.integers(16, 32))
+def test_a_radius_past_the_bound_answers_inf_and_nothing_else_moves(seed, nodes):
+    """At coarse queries, where radii of products square: where no radius
+    numerator passes machine._MAX_RADIUS the answer is the one without
+    the bound, and elsewhere it is that one or (0, INF).  Both are sound:
+    the first as every plan answer is, the second as INF certifies
+    nothing."""
+    rng = random.Random(seed)
+    arity = rng.choice((1, 2))
+    plan = expr_to_machine(random_dag(rng, nodes, arity, _GROWING), arity)
+    for _ in range(4):
+        query = Query(tuple((F(rng.randint(-256, 256), rng.randint(1, 8)),
+                             F(2**rng.randint(0, 64), rng.randint(1, 3)))
+                            for _ in range(arity)))
+        watched = _Watched(machine_module._MAX_RADIUS)
+        watched.passed = False
+        with patch.object(machine_module, "_MAX_RADIUS", watched):
+            answer = apply(plan, query)
+        with patch.object(machine_module, "_MAX_RADIUS", float("inf")):
+            unbounded = apply(plan, query)
+        if not watched.passed:
+            assert answer == unbounded
+        elif answer != unbounded:
+            assert answer == Answer(F(0), INF)
+            assert unbounded.accuracy is INF or unbounded.accuracy > 2**4096
+
+
 def test_compiling_is_linear_in_the_dag():
     # The 60th iterate's tree has about 2^60 nodes.  It is only compiled:
     # its value at a rational would have about 2^60 bits.
