@@ -199,6 +199,15 @@ _MAX_RADIUS_BITS = 4096
 _MAX_RADIUS = 1 << _MAX_RADIUS_BITS
 
 
+class _Taped(tuple):
+    """Argument oracles with a tape: step n -> the value of schedule step n
+    run on them at wide 0.  The oracles are pure, so that value depends on
+    n alone: a replayed step is the step itself, and writing it is idempotent."""
+
+    def __init__(self, oracles):
+        self.tape = {}
+
+
 def _schedule(machine, oracles, fuel, gn, gd, wide):
     """The one refinement loop.  Step n asks the oracles at tolerance 2^-n
     and runs the integer step on their answers at tolerance 2^(wide-n),
@@ -207,6 +216,8 @@ def _schedule(machine, oracles, fuel, gn, gd, wide):
     Where step 0 answers INF, every oracle is exact and the machine's
     _undefined test holds there, every later step would answer INF too, so
     it returns that NoConvergence(fuel, True) without running them.
+    At wide 0, where the approximations are None, _Taped oracles' steps are
+    replayed from their tape where it has them, and kept on it.
     """
     if len(oracles) != machine.arity:
         raise ValueError(
@@ -216,16 +227,21 @@ def _schedule(machine, oracles, fuel, gn, gd, wide):
     if fuel < 1:
         raise ValueError(f"fuel must be >= 1, got {fuel}")
     step, undefined = machine._step, machine._undefined
+    tape = oracles.tape if oracles.__class__ is _Taped and not wide else None
     all_infinite = True
     wn, wd = 1 << wide, 1
     for n in range(fuel):
-        tol = Fraction(1, 1 << n)
-        approxes = [as_fraction(oracle(tol)) for oracle in oracles]
-        qn, qd, tn, td = step(*[(q.numerator, q.denominator, wn, wd) for q in approxes])
+        if tape is None or (value := tape.get(n)) is None:
+            tol = Fraction(1, 1 << n)
+            approxes = [as_fraction(oracle(tol)) for oracle in oracles]
+            value = step(*[(q.numerator, q.denominator, wn, wd) for q in approxes])
+            if tape is not None:
+                tape[n] = value
+        qn, qd, tn, td = value
         if td:
             all_infinite = False
             if tn * gd <= gn * td:
-                return n, approxes, (qn, qd, tn, td)
+                return n, approxes if wide else None, value
         elif not n and undefined is not None:
             xs = [getattr(oracle, "_exact", None) for oracle in oracles]
             if None not in xs and undefined(xs):
@@ -332,6 +348,15 @@ def _rmul(an, ad, bn, bd):
     return an * bn, ad * bd
 
 
+def _gcd(a, b):
+    """gcd(a, b) for b > 0: the gcd of the odd parts, shifted back by the
+    smaller power of two, where math.gcd would be quadratic in the bits."""
+    if not a:
+        return b
+    i, j = (a & -a).bit_length() - 1, (b & -b).bit_length() - 1
+    return gcd(a >> i, b >> j) << min(i, j)
+
+
 def _half(n, d):
     """(n/d) / 2 in lowest terms, for n/d in lowest terms: an even n has
     an odd d, and an odd n stays coprime to 2d."""
@@ -397,11 +422,12 @@ def _mul_rule(x, y):
     The bound is summed as (|q1| + t1) t2 + |q2| t1 over the common
     denominator q1d t1d q2d t2d and reduced by one final gcd, which is
     cheaper than three products and two sums each reduced on the way.
+    At 2^-n, td is a small odd number times 2^(2n): past 2048 bits, _gcd.
     """
     (q1n, q1d, t1n, t1d), (q2n, q2d, t2n, t2d) = x, y
     tn = (abs(q1n) * t1d + t1n * q1d) * q2d * t2n + abs(q2n) * t1n * q1d * t2d
     td = q1d * t1d * q2d * t2d
-    g = gcd(tn, td)
+    g = gcd(tn, td) if td.bit_length() < 2048 else _gcd(tn, td)
     return (*_rmul(q1n, q1d, q2n, q2d), tn // g, td // g)
 
 

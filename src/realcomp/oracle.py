@@ -2,7 +2,8 @@
 
 A real oracle presents a real number x as a pure mapping from a
 requested tolerance to a rational within that tolerance of x.  Machines
-applied to oracles yield new oracles, so computed reals compose.
+applied to oracles yield new oracles, so computed reals compose; such a
+real replays its schedule's steps, each run once (see apply_machine).
 
 Real expressions are a small AST (constants, argument variables, exact
 arithmetic, min/max, and the strict-positivity test) that compiles to
@@ -38,6 +39,7 @@ from typing import Callable, Sequence
 from .machine import (
     _CAP,
     IntervalMachine,
+    _Taped,
     _add_rule,
     _affine_rule,
     _chi_pos_rule,
@@ -115,19 +117,21 @@ def apply_machine(
     The resulting oracle is partial: a request raises NoConvergenceError
     when refinement does not meet it within the fuel budget.  Answers are
     memoized per tolerance; the memo is invisible (the mapping is pure).
+    Each refine replays the steps that earlier ones ran (_Taped) before it
+    runs more: answers are those of a fresh refine, and each step runs once.
     """
     if len(args) != machine.arity:
         raise ValueError(
             f"machine {machine.name!r} takes {machine.arity} argument(s), "
             f"got {len(args)}"
         )
-    args = tuple(args)
+    args = _Taped(args)
     memo: dict = {}
 
     def ask(tolerance: Fraction) -> Fraction:
-        if tolerance in memo:
-            return memo[tolerance]
-        value = memo[tolerance] = _required(refine(machine, args, tolerance, fuel)).value
+        value = memo.get(tolerance)
+        if value is None:
+            value = memo[tolerance] = _required(refine(machine, args, tolerance, fuel)).value
         return value
 
     return RealOracle(ask, name=f"{machine.name}(...)")

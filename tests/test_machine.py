@@ -48,6 +48,7 @@ from realcomp.machine import (
     _affine_rule,
     _chi_pos_rule,
     _const_rule,
+    _gcd,
     _max_rule,
     _min_rule,
     _mul_rule,
@@ -579,3 +580,34 @@ def test_chi_pos_kernel_below_at_and_above_the_boundary(data, side):
     q = tol + side * draw_rational(data, dens, magnitudes)
     *_, td = check_kernel("chi-pos", _chi_pos_rule, [], [(q, tol)])
     assert (td != 0) == (side > 0)
+
+
+# --- the gcd of big mul bounds -------------------------------------------------------
+
+# m 2^z for m of 1 to 2000 bits (1 gives a power of two) and z up to 3000, or an
+# odd number: operands below and above _mul_rule's 2048-bit threshold
+two_adic = st.builds(lambda m, z: m << z, st.one_of(st.just(1), magnitudes), st.integers(0, 3000))
+gcd_operand = st.one_of(two_adic, magnitudes.map(lambda m: m | 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.one_of(st.just(0), gcd_operand, gcd_operand.map(lambda m: -m)), b=gcd_operand,
+       common=st.one_of(st.just(1), two_adic, magnitudes))
+def test_the_binary_gcd_is_math_gcd(a, b, common):
+    assert _gcd(a, b) == gcd(a, b)
+    assert _gcd(a * common, b * common) == gcd(a * common, b * common)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mul_rule_at_thousands_of_bits_matches_the_fraction_formula(data):
+    # at the query 2^-n, values have denominators of a small odd number times 2^n
+    def operand():
+        n = data.draw(st.integers(600, 12000))
+        q = F(data.draw(nonzero) | 1, data.draw(st.integers(0, 50)) * 2 + 1 << n)
+        t = F(data.draw(magnitudes) | 1, data.draw(st.sampled_from((1, 3, 5))) << n)
+        return q, t
+
+    (q1, t1), (q2, t2) = operands = [operand(), operand()]
+    assert (q1.denominator * t1.denominator * q2.denominator * t2.denominator).bit_length() >= 2048
+    check_kernel("mul", _mul_rule, [], operands)

@@ -1,5 +1,8 @@
 import gc
 import random
+import sys
+import threading
+import tracemalloc
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -807,3 +810,155 @@ def test_walks_leave_no_cyclic_garbage():
     finally:
         if enabled:
             gc.enable()
+
+
+# --- computed reals replay their schedule --------------------------------------------
+
+
+def restarted(machine, oracles, fuel):
+    """A computed real that refines from step 0 at each new tolerance, memoised
+    per tolerance: what apply_machine answered before it replayed its steps."""
+    memo = {}
+
+    def ask(tol):
+        if tol not in memo:
+            memo[tol] = machine_module._required(refine(machine, list(oracles), tol, fuel)).value
+        return memo[tol]
+
+    return RealOracle(ask)
+
+
+def outcome(oracle, tol):
+    """oracle(tol), or what its NoConvergenceError says."""
+    try:
+        return oracle(tol)
+    except NoConvergenceError as err:
+        return "diverged", err.steps_taken, err.all_infinite
+
+
+# dyadic tolerances, on the schedule, and others between them
+TOLERANCES = st.one_of(st.integers(0, 40).map(lambda k: F(1, 1 << k)),
+                       st.builds(F, st.integers(1, 10**6), st.integers(1, 10**9)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32), fuel=st.integers(1, 40), data=st.data())
+def test_a_computed_real_answers_as_a_fresh_refine_in_any_order_of_asks(seed, fuel, data):
+    rng = random.Random(seed)
+    arity = rng.choice((1, 2))
+    machine = expr_to_machine(with_chi_pos(rng, random_dag(rng, 8, arity)), arity)
+    xs = [rand_fraction(rng) for _ in range(arity)]
+    args = [rng.choice((from_rational(x), jittered(x, rng.randrange(1, 17)))) for x in xs]
+    # asks drawn from a few tolerances: finer, coarser and repeated ones
+    pool = data.draw(st.lists(TOLERANCES, min_size=1, max_size=6))
+    asks = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=16))
+    real, restart = apply_machine(machine, args, fuel), restarted(machine, args, fuel)
+    replayed = machine_module._Taped(args)
+    for tol in asks:
+        assert refine(machine, replayed, tol, fuel) == refine(machine, args, tol, fuel)
+        assert outcome(real, tol) == outcome(restart, tol)
+    assert len(replayed.tape) <= fuel
+    # doubled tolerances: domain_neighborhood neither replays nor keeps steps
+    steps = dict(replayed.tape)
+    assert domain_neighborhood(machine, replayed, fuel) == domain_neighborhood(machine, args, fuel)
+    assert replayed.tape == steps
+
+
+@pytest.mark.parametrize("depth", [2, 3, 4])
+@pytest.mark.parametrize("exact", [True, False])
+def test_nested_computed_reals_answer_as_restarted_ones(depth, exact):
+    step = expr_to_machine(Mul(Var(0), Sub(Const(1), Var(0))), 1)  # x (1 - x)
+    x = F(1, 3)
+    real = restart = from_rational(x) if exact else jittered(x, 5)
+    for _ in range(depth):
+        real, restart = apply_machine(step, [real], 200), restarted(step, [restart], 200)
+        x *= 1 - x
+    tols = [F(1, 1 << k) for k in range(41)] + [F(1, 3**k) for k in range(1, 26)]
+    random.Random(depth).shuffle(tols)
+    for tol in tols + tols[::3]:
+        assert real(tol) == restart(tol)
+        assert abs(real(tol) - x) <= tol
+
+
+def test_a_divergent_computed_real_raises_the_same_error_on_every_ask():
+    chi = expr_to_machine(ChiPos(Var(0)), 1)
+    plus = expr_to_machine(Add(Var(0), Const(F(1, 7))), 1)
+    zero = RealOracle(lambda tol: F(0))  # not exact: the loop spends its fuel
+    third = jittered(F(1, 3), 3)
+    for machine, args, fuel, want in (
+            (chi, [zero], 30, ("diverged", 30, True)),
+            # finite from step 2 on, at accuracy 2^-n: 2^-10 is out of reach
+            (chi, [third], 5, ("diverged", 5, False)),
+            # the inner real at 2^-5, asked at the outer's step 5, raises
+            (plus, [apply_machine(chi, [third], 5)], 40, ("diverged", 5, False))):
+        real, restart = apply_machine(machine, args, fuel), restarted(machine, args, fuel)
+        for tol in (F(1, 1024), F(1, 2), F(1, 1024), F(1, 3**7), F(1, 1024)):
+            assert outcome(real, tol) == outcome(restart, tol)
+        assert outcome(real, F(1, 1024)) == want
+
+
+def test_each_step_of_a_computed_real_runs_once():
+    asks = Counter()
+
+    def ask(tol):
+        asks[tol] += 1
+        return F(1, 3)
+
+    real = apply_machine(expr_to_machine(Mul(Var(0), Sub(Const(1), Var(0))), 1),
+                         [RealOracle(ask)], 200)
+    for k in range(41):
+        real(F(1, 1 << k))
+    assert set(asks) == {F(1, 1 << n) for n in range(len(asks))}
+    # restarting, the first tolerance would be asked once per new ask, 41 times
+    assert set(asks.values()) == {1}
+
+
+def test_a_computed_real_keeps_at_most_fuel_small_steps(monkeypatch):
+    # asked at tolerances past what the fuel reaches, the tape stops at fuel
+    # steps, each the four ints of a value, as big as the values the memo holds
+    fuel, seen = 300, []
+    def spy(machine, oracles, target, fuel):
+        seen.append(oracles)
+        return refine(machine, oracles, target, fuel)
+
+    monkeypatch.setattr(oracle_module, "refine", spy)
+    step = expr_to_machine(Mul(Var(0), Sub(Const(1), Var(0))), 1)
+    real = apply_machine(step, [jittered(F(1, 3), 5)], fuel)
+    tracemalloc.start()
+    try:
+        for k in range(2 * fuel):
+            outcome(real, F(1, 1 << k))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(args is seen[0] for args in seen)
+    tape = seen[0].tape
+    assert sorted(tape) == list(range(fuel))
+    assert all(len(v) == 4 and {type(i) for i in v} == {int} for v in tape.values())
+    # 639 bytes a step here with Python 3.11; 318 of them are the memo's
+    assert peak < fuel * 1024
+
+
+def test_threads_sharing_a_computed_real_get_fresh_refine_answers():
+    # the steps of concurrent asks interleave; each lands under its own n
+    step = expr_to_machine(Mul(Var(0), Sub(Const(1), Var(0))), 1)
+    x = jittered(F(1, 3), 5)
+    tols = [F(1, 1 << k) for k in range(60)]
+    restart = restarted(step, [x], 200)
+    want = [restart(tol) for tol in tols]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            real = apply_machine(step, [x], 200)
+            got = [None] * 4
+            def run(i):
+                got[i] = [real(tol) for tol in tols]
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert got == [want] * 4
+    finally:
+        sys.setswitchinterval(interval)
