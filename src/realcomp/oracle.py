@@ -11,11 +11,11 @@ interval-query machines.  Each operator is defined once, as a class that
 carries its spec symbol, exact rule and interval rule; parsing,
 printing, evaluation and compilation all read that table.
 
-Compilation, like arity and exact evaluation, is one walk of the
-expression DAG, memoised on the subterm object and freed when it
-returns; it interns every step, so a DAG whose subterms are shared (the
-tree of the logistic iterate k grows as 2^k, its DAG as k) becomes a
-plan of at most one step per distinct subterm.
+Compiling, arity, exact evaluation and printing are each one loop over
+the DAG's distinct subterms, operands first, which _postorder lists from
+its own stack, so any depth works.  Compiling interns every step, so a
+DAG whose subterms are shared (the tree of the logistic iterate k grows
+as 2^k, its DAG as k) becomes a plan of at most one step per subterm.
 A plan is a list of (interval rule, operand slots) steps, run once per
 query by the plan runner of realcomp.machine; refinement feeds it values
 directly, and only a public transition call converts a Query.
@@ -182,11 +182,12 @@ class _Operator(RealExpr):
     weights = None
 
     # Equality, hashing and repr are structural, as the dataclass ones
-    # would be, but never recurse: a spec may nest as deep as the parser
-    # allows.  The hash is computed once, from the children's hashes; repr
-    # prints an operator object as "..." once it has printed it.
+    # would be, but never recurse.  The children (the fields, just set in
+    # order) are kept as a tuple and hashed once; repr prints an operator
+    # object as "..." once it has printed it.
     def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.symbol, *self.children)))
+        object.__setattr__(self, "children", kids := tuple(vars(self).values()))
+        object.__setattr__(self, "_hash", hash((self.symbol, *kids)))
 
     def __hash__(self):
         return self._hash
@@ -232,19 +233,11 @@ class _Operator(RealExpr):
 class _Unary(_Operator):
     operand: RealExpr
 
-    @property
-    def children(self) -> tuple:
-        return (self.operand,)
-
 
 @dataclass(frozen=True, eq=False, repr=False)
 class _Binary(_Operator):
     left: RealExpr
     right: RealExpr
-
-    @property
-    def children(self) -> tuple:
-        return (self.left, self.right)
 
 
 def _chi_pos_exact(a: Fraction) -> Fraction:
@@ -296,31 +289,55 @@ class ChiPos(_Unary):
     partial = True
 
 
-# The operator table.  The DAG walk below passes children through map()
-# rather than a comprehension so that each level of nesting costs a
-# single Python frame.
-_OPERATORS = (Add, Sub, Mul, Min, Max, Neg, ChiPos)
+_OPERATORS = (Add, Sub, Mul, Min, Max, Neg, ChiPos)  # the operator table
+
+
+def _postorder(expr: RealExpr) -> tuple:
+    """(subterms, shared): each distinct subterm object of expr once, after
+    its operands (expr last), and the ids of those that are an operand more
+    than once.  It keeps its own stack, so it walks any depth.  Operators
+    come in the order a memoised left-to-right recursion finishes them."""
+    order, shared, todo, done = [], set(), [expr], set()
+    while todo:
+        e = todo.pop()
+        if e is None:  # the operator below it has its operands listed
+            order.append(todo.pop())
+            continue
+        if (i := id(e)) in done:  # pushed by a second user before listed
+            shared.add(i)
+            continue
+        done.add(i)
+        todo.append(e)
+        todo.append(None)
+        for k in e.children[::-1]:
+            if (j := id(k)) in done:
+                shared.add(j)
+            elif k.children:
+                todo.append(k)
+            else:  # a leaf is listed where it is met
+                done.add(j)
+                order.append(k)
+    return order, shared
 
 
 def _walk_dag(expr: RealExpr, leaf, node):
-    """Fold expr bottom-up: leaf(e) at a Const or Var, node(e, child
-    values) at an operator.  Memoised on the subterm object, so a shared
-    DAG is walked in linear time; the memo is freed when the walk returns."""
-    seen = {}
+    """Fold expr bottom-up: leaf(e) at a Const or Var, node(e, operand
+    values) at an operator, once per subterm object.  An operand used once
+    hands its value to its user, so a deep tree keeps one path of values."""
+    subterms, shared = _postorder(expr)
+    values = {}
+    for e in subterms:
+        if e.children:
+            v = node(e, [values[j] if (j := id(k)) in shared else values.pop(j)
+                         for k in e.children])
+        else:
+            v = leaf(e)
+        values[id(e)] = v
+    return v
 
-    def walk(e: RealExpr):
-        v = seen.get(id(e))
-        if v is None:
-            if isinstance(e, (Const, Var)):
-                v = seen[id(e)] = leaf(e)
-            else:
-                v = seen[id(e)] = node(e, tuple(map(walk, e.children)))
-        return v
 
-    try:
-        return walk(expr)
-    finally:
-        del walk  # walk refers to itself; break the cycle
+def _unbound(expr: RealExpr, given: str) -> ValueError:
+    return ValueError(f"unbound variable: expression uses {expr_arity(expr)} argument(s), {given}")
 
 
 def expr_arity(expr: RealExpr) -> int:
@@ -333,12 +350,15 @@ def expr_arity(expr: RealExpr) -> int:
 
 
 def eval_expr(expr: RealExpr, xs: Sequence[Fraction]) -> Fraction:
-    """Exact rational evaluation; raises Undefined on chi at a value <= 0."""
-    return _walk_dag(
-        expr,
-        lambda e: e.value if isinstance(e, Const) else as_fraction(xs[e.index]),
-        lambda e, values: e.exact(*values),
-    )
+    """Exact rational evaluation; raises Undefined on chi at a value <= 0,
+    and ValueError where xs has too few values."""
+
+    def leaf(e):
+        if isinstance(e, Var) and e.index >= len(xs):
+            raise _unbound(expr, f"got {len(xs)} value(s)")
+        return e.value if isinstance(e, Const) else as_fraction(xs[e.index])
+
+    return _walk_dag(expr, leaf, lambda e, values: e.exact(*values))
 
 
 def _linear(e: _Operator):
@@ -366,7 +386,7 @@ def _affine(c: tuple, terms: dict) -> tuple:
             if an == 1 or c[0]:
                 return _shift_rule if an == 1 else _sub_from_rule, (c,), slots
             return _neg_rule, (), slots
-        if not c[0] and rn == abs(an):
+        if not c[0] and (rn, rd) == (abs(an), ad):
             return _scale_rule, ((an, ad),), slots
     elif len(slots) == 2 and not c[0] and coefficients[0] == (1, 1, 1, 1):
         if coefficients[1] in ((1, 1, 1, 1), (-1, 1, 1, 1)):
@@ -380,32 +400,20 @@ def expr_to_machine(expr: RealExpr, arity: int) -> IntervalMachine:
     Takes time linear in the expression DAG: shared subterms, and
     structurally equal ones, are compiled and evaluated once.  Slots
     0 .. arity-1 hold the query's components; step i fills slot arity + i
-    by applying its rule to the values in its operand slots.  The walk
-    takes a Var to its slot, a Const to itself (else a const step), and
-    each maximal linear region, cut at every subterm used more than once,
-    in one pass from its root to one step c + sum a_i q_i (see _affine),
-    a_i the signed sum of the weight products over the paths to slot i
-    and r_i the sum of their absolute values.  Steps are interned on
+    by applying its rule to the values in its operand slots.  The loop
+    takes a Var to its slot, a Const to itself (else a const step), and a
+    linear operator used once to its (weights, operands), pending; what
+    takes it (a non-linear operator, a second use, the root) flattens each
+    maximal linear region from its root to one step c + sum a_i q_i (see
+    _affine), a_i the signed sum of the weight products over the paths to
+    slot i and r_i the sum of their absolute values.  Steps are interned on
     (rule, literal parameters as integer pairs, operand slots), so
     structurally equal subterms share one slot.
     """
     if arity < 1:
         raise ValueError(f"arity must be >= 1, got {arity}")
+    subterms, shared = _postorder(expr)
     steps, interned, everything, seen = [], {}, tuple(range(arity)), {}
-    found, shared = set(), set()  # ids of the operands, and of those used twice
-
-    def used_once(e) -> bool:  # one walk finds them all, on first need
-        if id(e) in seen:  # walked already, so it has another use
-            return False
-        todo = [] if found else [expr]
-        while todo:
-            for kid in todo.pop().children:
-                if id(kid) in found:
-                    shared.add(id(kid))
-                else:
-                    found.add(id(kid))
-                    todo.append(kid)
-        return id(e) not in shared
 
     def step(rule, params: tuple, operands: tuple) -> int:
         key = (rule, params, operands)
@@ -415,47 +423,44 @@ def expr_to_machine(expr: RealExpr, arity: int) -> IntervalMachine:
             steps.append((partial(rule, *params) if params else rule, operands))
         return slot
 
-    def slot(v) -> int:
+    def slot(v) -> int:  # of a subterm's value: a slot, a Const or a pending region
         if v.__class__ is Const:
             return step(_const_rule, (v.value.as_integer_ratio(),), everything)
-        return v
-
-    def walk(e):  # memoised on the subterm object: a slot, or a Const
-        v = seen.get(id(e))
-        if v is not None:
+        if v.__class__ is not tuple:
             return v
+        c, terms, todo = (0, 1), {}, [((1, 1), v)]  # the region, from its root
+        for w, (weights, kids) in todo:
+            for u, k in zip(weights, kids):
+                u = u if w == (1, 1) else _rmul(*w, *u)
+                if (k := seen[id(k)]).__class__ is tuple:
+                    todo.append((u, k))
+                elif k.__class__ is Const:
+                    k = k.value.as_integer_ratio()
+                    c = _radd(*c, *(k if u == (1, 1) else _rmul(*u, *k)))
+                elif (t := terms.get(k)) is None:
+                    terms[k] = (*u, abs(u[0]), u[1])
+                else:
+                    terms[k] = (*_radd(t[0], t[1], *u), *_radd(t[2], t[3], abs(u[0]), u[1]))
+        return step(*_affine(c, terms))
+
+    for e in subterms:
         if e.__class__ is Const:
             v = e
         elif e.__class__ is Var:
             if e.index >= arity:
-                raise ValueError(
-                    f"unbound variable: expression uses {expr_arity(expr)} argument(s), "
-                    f"declared arity is {arity}"
-                )
+                raise _unbound(expr, f"declared arity is {arity}")
             v = e.index
-        elif (form := _linear(e)) is None:
-            kids = tuple(map(walk, e.children))
+        elif (v := _linear(e)) is not None:
+            if id(e) in shared:
+                v = slot(v)
+        else:
+            kids = [seen[id(k)] for k in e.children]
             if kids[0].__class__ is Const is kids[-1].__class__ and not e.partial:
                 v = slot(Const(e.exact(*[kid.value for kid in kids])))
             else:
                 v = step(e.rule, (), tuple(map(slot, kids)))
-        else:  # the linear region rooted at e, in one step
-            c, terms, todo = (0, 1), {}, [((1, 1), form)]
-            for w, (weights, kids) in todo:
-                for u, k in zip(weights, kids):
-                    u = u if w == (1, 1) else _rmul(*w, *u)
-                    if (inner := k.children and _linear(k)) and used_once(k):
-                        todo.append((u, inner))
-                    elif k.__class__ is Const:
-                        k = k.value.as_integer_ratio()
-                        c = _radd(*c, *(k if u == (1, 1) else _rmul(*u, *k)))
-                    elif (t := terms.get(k := walk(k))) is None:
-                        terms[k] = (*u, abs(u[0]), u[1])
-                    else:
-                        terms[k] = (*_radd(t[0], t[1], *u), *_radd(t[2], t[3], abs(u[0]), u[1]))
-            v = step(*_affine(c, terms))
         seen[id(e)] = v
-        return v
+    root = slot(seen[id(expr)])
 
     def undefined(xs) -> bool:
         """Whether eval_expr at xs raises Undefined: each step run once at
@@ -471,8 +476,4 @@ def expr_to_machine(expr: RealExpr, arity: int) -> IntervalMachine:
             vals.append(value)
         return False
 
-    try:
-        root = slot(walk(expr))
-    finally:
-        del walk  # walk refers to itself; break the cycle
     return _plan_machine(steps, arity, root, f"plan({len(steps)} steps)", undefined)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional, Union
 
-from .oracle import _OPERATORS, Const, RealExpr, Var
+from .oracle import _OPERATORS, Const, RealExpr, Var, _walk_dag
 
 __all__ = [
     "ParseError",
@@ -51,13 +51,10 @@ _TOKEN_RE = re.compile(r"[()]|[^ \t\r\n();]+|;[^\n]*")
 _INT_RE = re.compile(r"[+-]?\d+")
 
 # Deepest list nesting a specification may have.  Reading uses a stack,
-# but building (_build_expr), printing (format_expr), expr_arity, eval_expr
-# and compiling recurse once per level, so the cap keeps them inside
-# Python's recursion limit.  Expressions built in Python are not capped:
-# at the default limit, a chain of 900 operators works in expr_arity,
-# eval_expr, expr_to_machine and format_expr, one of 1000 raises
-# RecursionError in each (in expr_to_machine unless it is one linear
-# region); repr and == do not recurse.
+# but building (_build_expr) recurses once per level, so the cap keeps it
+# inside Python's recursion limit.  Every other walk of an expression
+# (printing, arity, evaluation, compiling, repr and ==) keeps its own
+# stack, so expressions built in Python are not capped.
 _MAX_DEPTH = 512
 
 
@@ -151,10 +148,10 @@ def _build_expr(node) -> tuple:
     return op(*exprs), max(arities)
 
 
-def _build_branch_expr(node) -> RealExpr:
+def _build_branch_expr(node, kind: str) -> RealExpr:
     expr, arity = _build_expr(node)
     if arity > 1:
-        _err(node, "relation branches must use only (var 0)")
+        _err(node, f"{kind} branches must use only (var 0)")
     return expr
 
 
@@ -188,12 +185,12 @@ def parse_spec(text: str) -> SpecAst:
     if isinstance(node, list) and len(node) > 1 and not isinstance(node[1], list):
         name = node[1].group()
         if name == "tail":
-            exprs = [_build_branch_expr(child) for child in node[2:]]
+            exprs = [_build_branch_expr(child, "relation") for child in node[2:]]
             if not exprs:
                 _err(node, "tail needs at least a tail branch")
             return RelSpec(tuple(exprs[:-1]), exprs[-1])
         if name == "finite":
-            exprs = [_build_branch_expr(child) for child in node[2:]]
+            exprs = [_build_branch_expr(child, "relation") for child in node[2:]]
             if not exprs:
                 _err(node, "finite needs at least one branch")
             return RelSpec(tuple(exprs), None)
@@ -221,7 +218,7 @@ def _build_prob(node: list) -> ProbSpec:
         mass = Fraction(num, den)
         if not 0 <= mass <= 1:
             _err(num_node, f"bad mass {num}/{den}: not in [0, 1]")
-        branches.append((mass, _build_branch_expr(expr_node)))
+        branches.append((mass, _build_branch_expr(expr_node, "prob")))
     return ProbSpec(tuple(branches))
 
 
@@ -230,11 +227,12 @@ def _build_prob(node: list) -> ProbSpec:
 
 
 def format_expr(expr: RealExpr) -> str:
-    if isinstance(expr, Const):
-        return f"(rat {expr.value.numerator} {expr.value.denominator})"
-    if isinstance(expr, Var):
-        return f"(var {expr.index})"
-    return f"({' '.join([expr.symbol, *map(format_expr, expr.children)])})"
+    return _walk_dag(
+        expr,
+        lambda e: f"(rat {e.value.numerator} {e.value.denominator})"
+        if isinstance(e, Const) else f"(var {e.index})",
+        lambda e, parts: f"({' '.join([e.symbol, *parts])})",
+    )
 
 
 def format_spec(ast: SpecAst) -> str:

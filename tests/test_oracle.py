@@ -11,7 +11,7 @@ from fractions import Fraction
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from realcomp import (
@@ -23,6 +23,7 @@ from realcomp import (
     Converged,
     Interval,
     IntervalMachine,
+    Max,
     Min,
     Mul,
     Neg,
@@ -54,6 +55,7 @@ from realcomp import (
 from helpers import (
     MUL_HEAVY,
     count_roundings,
+    operand_uses,
     rand_fraction,
     rand_positive,
     rand_query,
@@ -65,7 +67,7 @@ from helpers import (
 )
 from realcomp import machine as machine_module
 from realcomp import oracle as oracle_module
-from realcomp.oracle import _OPERATORS
+from realcomp.oracle import _OPERATORS, _postorder
 
 F = Fraction
 
@@ -137,6 +139,15 @@ def test_eval_expr_chi_undefined_off_the_positives():
     assert eval_expr(ChiPos(Const(F(1, 5))), ()) == 1
     with pytest.raises(Undefined):
         eval_expr(ChiPos(Const(0)), ())
+
+
+def test_eval_expr_refuses_too_few_values_by_the_arity():
+    for expr, xs, uses in ((Add(Var(0), Var(3)), [F(1)], 4), (Var(0), [], 1)):
+        with pytest.raises(ValueError) as err:
+            eval_expr(expr, xs)
+        assert str(err.value) == (
+            f"unbound variable: expression uses {uses} argument(s), got {len(xs)} value(s)")
+    assert eval_expr(Add(Var(0), Var(3)), [F(1), 0, 0, F(1, 2)]) == F(3, 2)
 
 
 def test_apply_machine_behaves_like_the_function():
@@ -251,6 +262,10 @@ def linear_dags(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(dag=linear_dags(), seed=st.integers(0, 2**32))
+# x1 + x1 four times over, less twice x1, all by 1/3: a = 2/3 and r = 2
+# share a numerator, but the region is no scale
+@example(dag=(Mul(Const(F(1, 3)), Sub(Add(Add(Var(1), Var(1)), Add(Var(1), Var(1))),
+                                       Add(Var(1), Var(1)))), 2), seed=0)
 def test_fused_plans_answer_exactly_as_the_unfused_catalog_tree(dag, seed):
     """Exact rational sums do not depend on grouping, so wherever no step
     rounds, a plan answers as the tree of one catalog machine per
@@ -751,6 +766,66 @@ def test_arity_and_exact_evaluation_are_linear_in_the_dag():
     assert eval_expr(Add(shared, shared), [F(1)]) == 2
     with pytest.raises(Undefined):
         eval_expr(Add(shared, shared), [F(-1)])
+
+
+# (operator over the chain so far, value of the chain of n at x, its printed
+# head): each chain below is DEEP operators over (var 0), far past the
+# interpreter's recursion limit
+_DEEP = 5000
+_CHAINS = [
+    (Neg, lambda x, n: (-1) ** n * x, "(neg "),
+    (lambda e: Add(Var(0), e), lambda x, n: (n + 1) * x, "(add (var 0) "),
+    (lambda e: Sub(Var(0), e), lambda x, n: x if n % 2 == 0 else 0, "(sub (var 0) "),
+    (lambda e: Mul(Var(0), e), lambda x, n: x ** (n + 1), "(mul (var 0) "),
+    (lambda e: Min(Var(0), e), lambda x, n: x, "(min (var 0) "),
+    (lambda e: Max(Var(0), e), lambda x, n: x, "(max (var 0) "),
+    (ChiPos, lambda x, n: 1 if n else x, "(chi-pos "),
+]
+
+
+@pytest.mark.parametrize("wrap, value, head", _CHAINS, ids=[c[2][1:-1] for c in _CHAINS])
+def test_every_walk_takes_chains_deeper_than_the_recursion_limit(wrap, value, head):
+    assert _DEEP > sys.getrecursionlimit()
+    chain = Var(0)
+    for _ in range(_DEEP):
+        chain = wrap(chain)
+    x = F(2, 3)
+    exact = value(x, _DEEP)
+    assert expr_arity(chain) == 1
+    assert eval_expr(chain, [x]) == exact
+    assert format_expr(chain) == head * _DEEP + "(var 0)" + ")" * _DEEP
+    outcome = refine(expr_to_machine(chain, 1), [from_rational(x)], F(1, 2**20), 400)
+    assert isinstance(outcome, Converged) and outcome.accuracy <= F(1, 2**20)
+    assert abs(outcome.value - exact) <= outcome.accuracy
+
+
+def test_every_walk_takes_a_deep_dag_with_a_shared_operand():
+    # s = x * x is an operand of each of the 5000 levels; add and max alternate
+    s, dag = Mul(Var(0), Var(0)), Var(0)
+    for k in range(_DEEP):
+        dag = Max(dag, s) if k % 2 else Add(dag, s)
+    x = F(1, 3)
+    exact = x + _DEEP // 2 * x * x
+    assert expr_arity(dag) == 1
+    assert eval_expr(dag, [x]) == exact
+    heads = ("(max " if k % 2 else "(add " for k in reversed(range(_DEEP)))
+    assert format_expr(dag) == "".join(heads) + "(var 0)" + " (mul (var 0) (var 0)))" * _DEEP
+    outcome = refine(expr_to_machine(dag, 1), [from_rational(x)], F(1, 2**20), 400)
+    assert isinstance(outcome, Converged) and outcome.accuracy <= F(1, 2**20)
+    assert abs(outcome.value - exact) <= outcome.accuracy
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**32), nodes=st.integers(0, 40), arity=st.integers(1, 3))
+def test_postorder_lists_each_subterm_once_after_its_operands(seed, nodes, arity):
+    dag = random_dag(random.Random(seed), nodes, arity)
+    subterms, shared = _postorder(dag)
+    position = {id(e): i for i, e in enumerate(subterms)}
+    uses = operand_uses(dag)  # by id, over every distinct operator's operands
+    assert len(position) == len(subterms) and subterms[-1] is dag
+    assert position.keys() == {id(dag), *uses}
+    assert all(position[id(k)] < position[id(e)] for e in subterms for k in e.children)
+    assert shared == {i for i, n in uses.items() if n > 1}
 
 
 def test_structurally_equal_subterms_share_one_step():

@@ -131,6 +131,7 @@ _MALFORMED = [
     ("(add (var 0))", 1, 1, "add takes two arguments"),
     ("; relation\n(tail (var 0)\n\t(var 1))", 3, 2, "relation branches must use only (var 0)"),
     ("(finite (add (var 0) (var 2)))", 1, 9, "relation branches must use only (var 0)"),
+    ("(prob (mass 1 1 (var 1)))", 1, 17, "prob branches must use only (var 0)"),
     ("(tail)", 1, 1, "tail needs at least a tail branch"),
     ("(finite)", 1, 1, "finite needs at least one branch"),
     ("(prob)", 1, 1, "prob needs at least one (mass n d expr) branch"),
