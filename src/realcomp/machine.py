@@ -12,9 +12,10 @@ component within its tolerance of its approximation) at which the
 function is defined has its true function value within ``eps`` of ``r``.
 
 One loop, ``_schedule``, drives a machine's integer step along the
-tolerance schedule ``2^-n`` for refine and domain_neighborhood; one
-runner, ``_plan_machine``, runs compiled plans and compositions.  Query
-and Answer are validated at ``apply`` and around hand-built transitions.
+tolerance schedule ``2^-n`` for refine and domain_neighborhood, reading
+an exact input once, never asking it; one runner, ``_plan_machine``,
+runs compiled plans and compositions.  Query and Answer are validated
+at ``apply`` and around hand-built transitions.
 Divergence can only be observed up to an explicit fuel budget; running
 out of fuel is evidence of undefinedness, never proof, and ``_required``
 is the one place that turns it into NoConvergenceError.  At exact rational
@@ -41,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from math import gcd
+from math import gcd, inf
 from operator import itemgetter
 from typing import Callable, Sequence, Union
 
@@ -210,9 +211,13 @@ class _Taped(tuple):
 
 def _schedule(machine, oracles, fuel, gn, gd, wide):
     """The one refinement loop.  Step n asks the oracles at tolerance 2^-n
-    and runs the integer step on their answers at tolerance 2^(wide-n),
-    wide 0 or 1.  Returns (n, approximations, value) at the first finite
-    accuracy <= gn/gd (gd = 0 takes any), NoConvergence when fuel is out.
+    (where all are exact, it reads their _exact values once instead) and
+    runs the integer step on their answers at tolerance 2^(wide-n), wide 0
+    or 1.  Returns (n, approximations, value) at the first finite accuracy
+    <= gn/gd, NoConvergence when fuel is out.  A product's bit length is its
+    factors' summed or one less, so with d = len(tn) + len(gd) - len(td) -
+    len(gn), tn/td <= gn/gd holds at d <= -2 and fails at d >= 2; only in
+    between is it multiplied out.  gd = 0 takes any: d is -inf.
     Where step 0 answers INF, every oracle is exact and the machine's
     _undefined test holds there, every later step would answer INF too, so
     it returns that NoConvergence(fuel, True) without running them.
@@ -228,24 +233,30 @@ def _schedule(machine, oracles, fuel, gn, gd, wide):
         raise ValueError(f"fuel must be >= 1, got {fuel}")
     step, undefined = machine._step, machine._undefined
     tape = oracles.tape if oracles.__class__ is _Taped and not wide else None
+    approxes = [getattr(oracle, "_exact", None) for oracle in oracles]
+    exact = None not in approxes
+    pairs = [(x.numerator, x.denominator) for x in approxes] if exact else None
+    gbits = gd.bit_length() - gn.bit_length() if gd else -inf
     all_infinite = True
     wn, wd = 1 << wide, 1
     for n in range(fuel):
         if tape is None or (value := tape.get(n)) is None:
-            tol = Fraction(1, 1 << n)
-            approxes = [as_fraction(oracle(tol)) for oracle in oracles]
-            value = step(*[(q.numerator, q.denominator, wn, wd) for q in approxes])
+            if exact:
+                value = step(*[(qn, qd, wn, wd) for qn, qd in pairs])
+            else:
+                tol = Fraction(1, 1 << n)
+                approxes = [as_fraction(oracle(tol)) for oracle in oracles]
+                value = step(*[(q.numerator, q.denominator, wn, wd) for q in approxes])
             if tape is not None:
                 tape[n] = value
         qn, qd, tn, td = value
         if td:
             all_infinite = False
-            if tn * gd <= gn * td:
+            d = tn.bit_length() - td.bit_length() + gbits
+            if d <= -2 or d < 2 and tn * gd <= gn * td:
                 return n, approxes if wide else None, value
-        elif not n and undefined is not None:
-            xs = [getattr(oracle, "_exact", None) for oracle in oracles]
-            if None not in xs and undefined(xs):
-                return NoConvergence(fuel, True)
+        elif not n and exact and undefined is not None and undefined(approxes):
+            return NoConvergence(fuel, True)
         # halve the query tolerance in lowest terms: 2, 1, 1/2, 1/4, ...
         wn, wd = 1, wd << (wn & 1)
     return NoConvergence(fuel, all_infinite)
@@ -268,9 +279,10 @@ def refine(
     """Query with tolerances 2^0, 2^-1, ... until a finite bound <= target.
 
     Each step n asks every argument oracle for an approximation at
-    tolerance 2^-n and feeds the machine the resulting query.  Returns
-    Converged at the first step whose answer has a finite accuracy at or
-    below the target, NoConvergence once fuel is spent.
+    tolerance 2^-n (exact ones are read once instead) and feeds the
+    machine the resulting query.  Returns Converged at the first step
+    whose answer has a finite accuracy at or below the target,
+    NoConvergence once fuel is spent.
     """
     target = _positive(target, "target accuracy")
     hit = _schedule(machine, oracles, fuel, target.numerator, target.denominator, 0)

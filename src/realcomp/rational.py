@@ -119,9 +119,9 @@ class Interval:
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 _DYADIC_RE = re.compile(r"^2\^-(\d+)$")
 # Largest k accepted in the "2^-k" shorthand.  Meeting 2^-65536 is slow:
-# `eval` of (mul (var 0) (add (var 0) (rat 1 3))) at --x 1/3 took 23 s
-# (1.9 s at 2^-16384) with interpreter start, on a shared 2-core x86-64 VM
-# with Python 3.11.7, about half of it in the products of the mul step.
+# `eval` of (mul (var 0) (add (var 0) (rat 1 3))) at --x 1/3 took 9.0 and
+# 10.8 s (0.6 s at 2^-16384) with interpreter start, on a shared 2-core
+# x86-64 VM with Python 3.11.7, most of it in the products of the mul step.
 _MAX_DYADIC_EXPONENT = 65536
 
 

@@ -192,26 +192,6 @@ def _window(rel: RealEnumRel, max_index: int) -> range:
     return range(rel.omega.clip(max_index) + 1)
 
 
-def _witnesses(rel: RealEnumRel, x: RealOracle, indices: range, accuracy, fuel: int):
-    """(i, witness(rel, x, i, accuracy, fuel)) for each index, in order.
-
-    Each distinct machine is refined once; a later index with the same
-    machine reuses that outcome, re-indexed.  Keyed on identity, so a
-    machine need not be hashable; holding the machine keeps its id from
-    being reused within the call.
-    """
-    seen: dict = {}  # id(machine) -> (machine, outcome of its first index)
-    for i in indices:
-        machine = rel.slice(i)
-        _, result = seen.get(id(machine), (None, None))
-        if result is None:
-            result = witness(rel, x, i, accuracy, fuel)
-            seen[id(machine)] = machine, result
-        elif isinstance(result, WitnessEntry):
-            result = WitnessEntry(i, result.value, result.accuracy)
-        yield i, result
-
-
 def enumerate_witnesses(
     rel: RealEnumRel,
     x: RealOracle,
@@ -219,10 +199,24 @@ def enumerate_witnesses(
     max_index: int,
     fuel: int,
 ) -> WitnessList:
-    """Witnesses for indices 0..max_index (clipped to a finite index set)."""
+    """Witnesses for indices 0..max_index (clipped to a finite index set).
+
+    Each distinct machine is refined once; a later index with the same
+    machine reuses that outcome, re-indexed.  Keyed on identity, so a
+    machine need not be hashable; holding the machine keeps its id from
+    being reused within the call.
+    """
     entries = []
     skipped = []
-    for i, result in _witnesses(rel, x, _window(rel, max_index), accuracy, fuel):
+    seen: dict = {}  # id(machine) -> (machine, outcome of its first index)
+    for i in _window(rel, max_index):
+        machine = rel.slice(i)
+        _, result = seen.get(id(machine), (None, None))
+        if result is None:
+            result = witness(rel, x, i, accuracy, fuel)
+            seen[id(machine)] = machine, result
+        elif isinstance(result, WitnessEntry):
+            result = WitnessEntry(i, result.value, result.accuracy)
         if isinstance(result, WitnessEntry):
             entries.append(result)
         else:
@@ -249,11 +243,15 @@ def member_semi(
     """
     accuracy = _positive(accuracy, "accuracy")
     indices = _window(rel, max_index)
-    quarter = accuracy / 4
+    quarter, half = accuracy / 4, accuracy / 2
     y_approx = y(quarter)
-    for i, result in _witnesses(rel, x, indices, quarter, fuel):
-        if isinstance(result, WitnessEntry):
-            if abs(result.value - y_approx) <= accuracy / 2:
+    compared: dict = {}  # id -> machine, held; its later indices compare the same
+    for i in indices:
+        machine = rel.slice(i)
+        if id(machine) not in compared:
+            compared[id(machine)] = machine
+            result = witness(rel, x, i, quarter, fuel)
+            if isinstance(result, WitnessEntry) and abs(result.value - y_approx) <= half:
                 return i
     return None
 

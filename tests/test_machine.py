@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from realcomp import (
     INF,
+    Add,
     Answer,
     ChiPos,
     Const,
@@ -20,6 +21,7 @@ from realcomp import (
     NoConvergence,
     Query,
     RealOracle,
+    Sub,
     Var,
     add_machine,
     apply,
@@ -258,6 +260,58 @@ def test_refine_converged_accuracy_never_exceeds_target():
         assert isinstance(outcome, Converged)
         assert outcome.accuracy <= target
         assert abs(outcome.value - (x + 5)) <= outcome.accuracy
+
+
+def answering(accuracy) -> IntervalMachine:
+    """A hand-built machine answering (0, accuracy) to every query."""
+    value = (0, 1, accuracy.numerator, accuracy.denominator)
+    return IntervalMachine(1, lambda query: Answer(F(0), accuracy), "answering",
+                           lambda *values: value)
+
+
+BIG_PARTS = st.integers(1, 5000).flatmap(lambda b: st.integers(1 << (b - 1), (1 << b) - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(acc=st.builds(F, BIG_PARTS, BIG_PARTS), scale=BIG_PARTS,
+       other=st.builds(F, BIG_PARTS, BIG_PARTS))
+def test_refine_meets_a_target_exactly_where_the_accuracy_is_at_most_it(acc, scale, other):
+    # the accuracy, an unrelated target, and 2^s times the accuracy for
+    # |s| <= 3, each also one ulp of its denominator below and above: there
+    # the cross products' bit lengths differ by at most 4, so both the
+    # bit-length decision and the products behind it are reached
+    n, d = acc.numerator * (scale + 1), acc.denominator * (scale + 1)
+    targets = [acc, other] + [F((n << max(s, 0)) + ulp, d << max(-s, 0))
+                              for s in range(-3, 4) for ulp in (-1, 0, 1)]
+    for target in targets:
+        want = Converged(F(0), acc, 1) if acc <= target else NoConvergence(1, False)
+        assert refine(answering(acc), [from_rational(1)], target, 1) == want
+
+
+def test_domain_neighborhood_answers_at_its_first_finite_step_whatever_the_radius():
+    # its target 1/0 takes any finite accuracy: about 2^5000, or 1000 times the box's
+    thousand_x = expr_to_machine(Mul(Const(1000), Var(0)), 1)
+    for x in (F(1), F(-2, 7)):
+        for oracle in (from_rational(x), RealOracle(lambda tol, x=x: x)):
+            boxes = domain_neighborhood(answering(F(2**5000 + 1, 3)), [oracle], 10)
+            assert boxes == [Interval(x - 2, x + 2)]
+            assert domain_neighborhood(thousand_x, [oracle], 10) == [Interval(x - 2, x + 2)]
+    assert domain_neighborhood(thousand_x, [from_rational(1)], 10) == [Interval(F(-1), F(3))]
+
+
+def test_exact_and_asked_oracles_mixed_answer_as_asked_ones_do():
+    exprs = (Add(Mul(Var(0), Var(1)), ChiPos(Sub(Var(0), Var(1)))),
+             Mul(Var(0), Sub(Var(1), Const(F(1, 3)))))
+    points = ((F(1, 3), F(1, 2)), (F(1, 2), F(1, 3)), (F(-5, 3), F(7)), (F(2, 7), F(2, 7)))
+    for expr, (x, y) in product(exprs, points):
+        machine = expr_to_machine(expr, 2)
+        asked = [RealOracle(lambda tol, v=v: v) for v in (x, y)]
+        exact = [from_rational(v) for v in (x, y)]
+        want = [refine(machine, asked, F(1, 2**k), 60) for k in (0, 10, 40)]
+        want.append(domain_neighborhood(machine, asked, 60))
+        for oracles in ([exact[0], asked[1]], [asked[0], exact[1]], exact):
+            got = [refine(machine, oracles, F(1, 2**k), 60) for k in (0, 10, 40)]
+            assert got + [domain_neighborhood(machine, oracles, 60)] == want
 
 
 def test_refine_validates_inputs():
